@@ -18,7 +18,7 @@ use bml_bench::Args;
 use bml_core::bml::BmlInfrastructure;
 use bml_core::catalog;
 use bml_metrics::{joules_to_kwh, Table};
-use bml_sim::{runner::sweep_prediction_noise, SimConfig};
+use bml_sim::{run_cells, CellConfig, CellJob, SimConfig};
 use bml_trace::worldcup::{generate, WorldCupParams};
 
 fn main() {
@@ -40,13 +40,23 @@ fn main() {
     );
     // Noise is counter-based and resampled once per look-ahead window,
     // so every sigma honors this stepping choice — noisy runs included.
-    let config = SimConfig {
+    let base = CellConfig::from_sim(&SimConfig {
         stepping: args.stepping_or_default(),
         ..Default::default()
-    };
-    let results = args
-        .pool()
-        .install(|| sweep_prediction_noise(&trace, &bml, &sigmas, args.seed, &config));
+    });
+    let jobs: Vec<CellJob<'_>> = sigmas
+        .iter()
+        .map(|&sigma| CellJob {
+            trace: &trace,
+            bml: &bml,
+            cell: CellConfig {
+                noise_sigma: sigma,
+                noise_seed: args.seed,
+                ..base.clone()
+            },
+        })
+        .collect();
+    let results = args.pool().install(|| run_cells(&jobs, None));
 
     println!(
         "Prediction-error ablation ({} days, seed {}):\n",
@@ -60,7 +70,7 @@ fn main() {
         "QoS shortfall (%)",
         "worst shortfall (%)",
     ]);
-    for (sigma, r) in &results {
+    for (sigma, r) in sigmas.iter().zip(&results) {
         t.row(&[
             format!("{sigma:.2}"),
             format!("{:.2}", joules_to_kwh(r.total_energy_j)),

@@ -13,8 +13,10 @@
 use bml_bench::Args;
 use bml_core::bml::BmlInfrastructure;
 use bml_core::catalog;
+use bml_core::scheduler::paper_window_length;
+use bml_core::transition_aware::TransitionAwareConfig;
 use bml_metrics::{joules_to_kwh, Table};
-use bml_sim::{runner::sweep_scheduler, SimConfig};
+use bml_sim::{run_cells, CellConfig, CellJob, SchedulerKind, SimConfig};
 use bml_trace::worldcup::{generate, WorldCupParams};
 
 fn main() {
@@ -28,13 +30,31 @@ fn main() {
         ..Default::default()
     });
     let bml = BmlInfrastructure::build(&catalog::table1()).expect("paper catalog builds");
-    let config = SimConfig {
+    let base = CellConfig::from_sim(&SimConfig {
         stepping: args.stepping_or_default(),
         ..Default::default()
+    });
+    let aware = TransitionAwareConfig {
+        horizon_s: paper_window_length(bml.candidates()) as f64,
+        split: base.split,
+        consider_keep_variants: true,
     };
-    let results = args
-        .pool()
-        .install(|| sweep_scheduler(&trace, &bml, &config));
+    let schedulers = [
+        ("baseline", SchedulerKind::Baseline),
+        ("transition-aware", SchedulerKind::TransitionAware(aware)),
+    ];
+    let jobs: Vec<CellJob<'_>> = schedulers
+        .iter()
+        .map(|(_, scheduler)| CellJob {
+            trace: &trace,
+            bml: &bml,
+            cell: CellConfig {
+                scheduler: scheduler.clone(),
+                ..base.clone()
+            },
+        })
+        .collect();
+    let results = args.pool().install(|| run_cells(&jobs, None));
 
     println!("Scheduler ablation ({} days, seed {}):\n", days, args.seed);
     let mut t = Table::new(&[
@@ -45,9 +65,9 @@ fn main() {
         "reconfig energy (kJ)",
         "QoS shortfall (%)",
     ]);
-    for (name, r) in &results {
+    for ((name, _), r) in schedulers.iter().zip(&results) {
         t.row(&[
-            name.clone(),
+            name.to_string(),
             format!("{:.2}", joules_to_kwh(r.total_energy_j)),
             format!("{}", r.reconfigurations),
             format!("{}", r.nodes_switched_on),

@@ -16,7 +16,7 @@ use bml_bench::Args;
 use bml_core::bml::BmlInfrastructure;
 use bml_core::catalog;
 use bml_metrics::{joules_to_kwh, Table};
-use bml_sim::{runner::sweep_window, SimConfig};
+use bml_sim::{run_cells, CellConfig, CellJob, SimConfig};
 use bml_trace::worldcup::{generate, WorldCupParams};
 
 fn main() {
@@ -32,13 +32,22 @@ fn main() {
     let bml = BmlInfrastructure::build(&catalog::table1()).expect("paper catalog builds");
     let windows = [60u64, 189, 378, 756, 1800, 3600];
     eprintln!("sweeping {} windows over {} days...", windows.len(), days);
-    let config = SimConfig {
+    let base = CellConfig::from_sim(&SimConfig {
         stepping: args.stepping_or_default(),
         ..Default::default()
-    };
-    let results = args
-        .pool()
-        .install(|| sweep_window(&trace, &bml, &windows, &config));
+    });
+    let jobs: Vec<CellJob<'_>> = windows
+        .iter()
+        .map(|&w| CellJob {
+            trace: &trace,
+            bml: &bml,
+            cell: CellConfig {
+                window: Some(w),
+                ..base.clone()
+            },
+        })
+        .collect();
+    let results = args.pool().install(|| run_cells(&jobs, None));
 
     println!(
         "Window-length ablation ({} days, seed {}):\n",
@@ -52,7 +61,7 @@ fn main() {
         "QoS shortfall (%)",
         "violation secs",
     ]);
-    for (w, r) in &results {
+    for (w, r) in windows.iter().zip(&results) {
         t.row(&[
             format!("{w}"),
             format!("{:.2}", joules_to_kwh(r.total_energy_j)),

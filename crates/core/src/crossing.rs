@@ -20,8 +20,6 @@
 //! the published thresholds: 1 (Raspberry), 10 (Chromebook),
 //! 529 req/s (Paravance).
 
-use serde::{Deserialize, Serialize};
-
 use crate::combination::ideal_fill;
 use crate::profile::{stack_power, ArchProfile};
 
@@ -29,7 +27,7 @@ use crate::profile::{stack_power, ArchProfile};
 const EPS: f64 = 1e-9;
 
 /// How a threshold was obtained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ThresholdKind {
     /// The smallest architecture: threshold is 1 by definition.
     Base,
@@ -42,7 +40,7 @@ pub enum ThresholdKind {
 }
 
 /// A minimum utilization threshold (paper Sec. IV-C).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Threshold {
     /// The threshold rate, in application metric units (integer-valued).
     pub rate: f64,
@@ -164,7 +162,7 @@ pub fn pairwise_thresholds(profiles: &[ArchProfile]) -> Vec<Threshold> {
 }
 
 /// One point of a power-versus-rate curve, for figure regeneration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CurvePoint {
     /// Performance rate (application metric units).
     pub rate: f64,

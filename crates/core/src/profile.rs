@@ -11,8 +11,6 @@
 //! power consumption", Sec. IV-A, citing Rivoire et al. for the error this
 //! may introduce).
 
-use serde::{Deserialize, Serialize};
-
 use crate::errors::BmlError;
 
 /// Performance/power/transition profile of one machine architecture.
@@ -20,7 +18,7 @@ use crate::errors::BmlError;
 /// All power values are Watts, energies Joules, durations seconds and
 /// performance rates are expressed in the application metric (the paper uses
 /// HTTP requests processed per second).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArchProfile {
     /// Human-readable codename, e.g. `"paravance"`.
     pub name: String,

@@ -10,8 +10,6 @@
 //! reconfiguration completion time. Otherwise the window slides one time
 //! step forward.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bml::BmlInfrastructure;
 use crate::profile::ArchProfile;
 use crate::reconfig::{plan_reconfiguration, Configuration, ReconfigPlan};
@@ -29,7 +27,7 @@ pub fn paper_window_length(profiles: &[ArchProfile]) -> u64 {
 }
 
 /// Outcome of one scheduler step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Decision {
     /// A reconfiguration is in flight; no decision until `until` (s).
     Locked {
@@ -45,7 +43,7 @@ pub enum Decision {
 }
 
 /// Counters accumulated over a scheduler run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SchedulerStats {
     /// Steps on which the scheduler was free to decide.
     pub decisions: u64,
@@ -68,7 +66,7 @@ pub struct SchedulerStats {
 /// Drive it by calling [`ProActiveScheduler::decide`] once per time step
 /// with the current prediction; apply the returned plan to your execution
 /// substrate (the `bml-sim` crate's cluster, or a real testbed).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProActiveScheduler {
     current: Configuration,
     busy_until: Option<u64>,

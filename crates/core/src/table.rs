@@ -24,9 +24,7 @@
 //!
 //! This is how a production controller deploys the methodology: Steps 1-5
 //! run offline, the table ships to the 1 Hz decision loop
-//! ([`crate::scheduler`], `bml-sim`'s engine and sweep runners).
-
-use serde::{Deserialize, Serialize};
+//! ([`crate::scheduler`], `bml-sim`'s engine and cell executor).
 
 // The greedy fill's own tolerance: the table reproduces its EPS semantics
 // exactly, so the constant is shared rather than duplicated.
@@ -35,7 +33,7 @@ use crate::profile::ArchProfile;
 
 /// One piece of the piecewise ideal-combination function, valid on
 /// `[start, next_segment.start)` of the remainder domain `[0, period)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct Segment {
     /// Remainder rate where this piece begins.
     start: f64,
@@ -53,7 +51,7 @@ struct Segment {
 
 /// The ideal-combination function of one infrastructure, precomputed as
 /// its breakpoint segments. See the module docs for the representation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CombinationTable {
     profiles: Vec<ArchProfile>,
     /// The Big architecture's capacity: the period of the combination

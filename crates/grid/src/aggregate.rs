@@ -6,14 +6,13 @@
 //! the byte-stable artifact.
 
 use bml_sim::CellSummary;
-use serde::{Deserialize, Serialize};
 
 use crate::executor::GridOutcome;
 use crate::spec::DIMENSIONS;
 
 /// The best cell (lowest total energy, QoS shortfall as tie-break) among
 /// all cells sharing one value of one dimension.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DimensionBest {
     /// Dimension name (one of [`DIMENSIONS`]).
     pub dimension: String,

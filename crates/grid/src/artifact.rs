@@ -300,7 +300,7 @@ pub fn write_artifacts(out: &GridOutcome, dir: &Path) -> io::Result<(PathBuf, Pa
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::run_grid;
+    use crate::executor::GridRunner;
     use crate::spec::{CatalogSpec, GridSpec, SchedulerDim, TraceSpec};
     use bml_core::combination::SplitPolicy;
     use bml_sim::Stepping;
@@ -321,7 +321,7 @@ mod tests {
             splits: vec![SplitPolicy::EfficiencyGreedy],
             steppings: vec![Stepping::EventDriven],
         };
-        run_grid(&spec, Some(2)).unwrap()
+        GridRunner::new(&spec).threads(2).run().unwrap().outcome
     }
 
     #[test]
@@ -442,7 +442,7 @@ mod tests {
         assert_eq!(j.matches("\"optimality_gap\":").count(), out.cells.len());
         assert!(
             !j.contains("\"optimal_energy_j\":null"),
-            "run_grid attaches an optimum to every cell"
+            "the grid attaches an optimum to every cell"
         );
         let csv = render_csv(&out);
         let header: Vec<&str> = csv.lines().next().unwrap().split(',').collect();

@@ -54,9 +54,6 @@
 //! # Ok(())
 //! # }
 //! ```
-//!
-//! The pre-[`GridRunner`] entry point [`run_grid`] remains as a thin
-//! wrapper (no cache, no sink) for callers that just want an outcome.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -66,7 +63,6 @@ use bml_core::scheduler::paper_window_length;
 use bml_obs::{Heartbeat, Recorder};
 use bml_sim::exec::{run_cells_checked, CellConfig, CellJob};
 use bml_sim::{CellSummary, SimConfig};
-use serde::{Deserialize, Serialize};
 
 use crate::cache::{self, CacheStats, CellCache, OptEntry};
 use crate::chaos::{panic_digest, ChaosPolicy, STREAM_CACHE_IO, STREAM_SINK_IO};
@@ -82,7 +78,7 @@ const STREAM_BATCH: usize = 1024;
 
 /// One executed cell: its coordinates, resolved dimension labels (in
 /// [`crate::spec::DIMENSIONS`] order), and result summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellRecord {
     /// The cell's coordinates (flat index + per-dimension indices + seed).
     pub coords: CellCoords,
@@ -96,7 +92,7 @@ pub struct CellRecord {
 /// result and was excluded from [`GridOutcome::cells`] instead of
 /// aborting the run. Rendered into the artifact's `failed_cells` section
 /// (schema `bml-grid/v5`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailedCell {
     /// The cell's coordinates (flat index + per-dimension indices + seed).
     pub coords: CellCoords,
@@ -111,7 +107,7 @@ pub struct FailedCell {
 
 /// Outcome of one grid run: the spec that produced it plus every cell in
 /// enumeration order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridOutcome {
     /// The executed spec.
     pub spec: GridSpec,
@@ -155,10 +151,6 @@ pub struct GridRun {
 }
 
 /// Configures and executes one grid run (builder-style).
-///
-/// Replaces the old `run_grid(spec, threads)` positional call, which had
-/// no room for the cache directory or the streaming sink without growing
-/// a parameter list of `Option`s at every call site.
 pub struct GridRunner<'a> {
     spec: &'a GridSpec,
     threads: Option<usize>,
@@ -326,15 +318,6 @@ impl<'a> GridRunner<'a> {
             budget,
         )
     }
-}
-
-/// Execute every cell of `spec`, `threads`-wide (`None` = rayon default),
-/// without cache or sink. Thin compatibility wrapper over [`GridRunner`].
-pub fn run_grid(spec: &GridSpec, threads: Option<usize>) -> Result<GridOutcome, String> {
-    GridRunner::new(spec)
-        .threads_opt(threads)
-        .run()
-        .map(|r| r.outcome)
 }
 
 /// Options of one [`execute`] call. The refinement driver uses the
@@ -858,7 +841,7 @@ mod tests {
     #[test]
     fn grid_runs_and_aligns_cells_with_enumeration() {
         let spec = small_spec();
-        let out = run_grid(&spec, Some(2)).unwrap();
+        let out = GridRunner::new(&spec).threads(2).run().unwrap().outcome;
         assert_eq!(out.cells.len(), 2);
         for (i, c) in out.cells.iter().enumerate() {
             assert_eq!(c.coords.index, i);
@@ -872,7 +855,11 @@ mod tests {
 
     #[test]
     fn every_cell_carries_a_verified_optimum() {
-        let out = run_grid(&small_spec(), Some(1)).unwrap();
+        let out = GridRunner::new(&small_spec())
+            .threads(1)
+            .run()
+            .unwrap()
+            .outcome;
         for c in &out.cells {
             let opt = c.summary.optimal_energy_j.expect("optimum attached");
             let gap = c.summary.optimality_gap.expect("gap attached");
@@ -891,7 +878,6 @@ mod tests {
     fn invalid_spec_fails_before_running() {
         let mut spec = small_spec();
         spec.traces[0].source = "bogus".into();
-        assert!(run_grid(&spec, None).is_err());
         assert!(GridRunner::new(&spec).run().is_err());
     }
 
@@ -907,7 +893,7 @@ mod tests {
         let dir = std::env::temp_dir().join("bml_grid_executor_cache_test");
         std::fs::remove_dir_all(&dir).ok();
         let spec = small_spec();
-        let plain = run_grid(&spec, Some(2)).unwrap();
+        let plain = GridRunner::new(&spec).threads(2).run().unwrap().outcome;
         let cold = GridRunner::new(&spec)
             .threads(2)
             .cache_dir(&dir)

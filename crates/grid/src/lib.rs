@@ -64,11 +64,10 @@
 //! | `ablation_window`     | `windows`                             |
 //! | `ablation_prediction` | `noise_sigmas`                        |
 //! | `ablation_scheduler`  | `schedulers`                          |
-//! | (split-policy sweep)  | `splits`                              |
 //! | `fig5_bounds --stepping` | `steppings`                        |
 //!
-//! Their `sweep_*` entry points in `bml_sim::runner` are thin wrappers
-//! over the same cell executor this crate drives, so a grid cell and the
+//! The `ablation_*` binaries build their knob's cells and call
+//! `bml_sim::run_cells`, the same cell executor this crate drives, so a grid cell and the
 //! matching ablation point are the *same computation*.
 
 #![warn(missing_docs)]
@@ -89,9 +88,7 @@ pub use aggregate::{pareto_frontier, per_dimension_bests, DimensionBest};
 pub use artifact::{render_csv, render_json, render_json_with, write_artifacts, SCHEMA};
 pub use cache::{CacheStats, CellCache, OptEntry};
 pub use chaos::ChaosPolicy;
-pub use executor::{
-    run_grid, CellRecord, FailedCell, GridOutcome, GridRun, GridRunner, RunWarning,
-};
+pub use executor::{CellRecord, FailedCell, GridOutcome, GridRun, GridRunner, RunWarning};
 pub use journal::{Journal, JOURNAL_NAME};
 pub use refine::{RefineBudget, RefineMeta, RefineOutcome};
 pub use spec::{

@@ -1,8 +1,6 @@
 //! Energy accounting: integrating per-second power samples into energies,
 //! per-day aggregation (the Fig. 5 unit) and unit conversions.
 
-use serde::{Deserialize, Serialize};
-
 /// Seconds per day.
 pub const SECONDS_PER_DAY: u64 = 86_400;
 
@@ -38,7 +36,7 @@ pub fn daily_energy(samples_w: &[f64]) -> Vec<f64> {
 /// Running energy meter: feed it power samples, read total/interval
 /// energies. This is the simulator-facing equivalent of the paper's
 /// wattmeter + Kwapi pipeline.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EnergyMeter {
     total_j: f64,
     samples: u64,
@@ -139,7 +137,7 @@ pub fn overhead_percent(measured: f64, reference: f64) -> f64 {
 
 /// Summary statistics of a per-day overhead series (the paper quotes
 /// average / minimum / maximum over the 86 days).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverheadStats {
     /// Mean overhead (%).
     pub mean: f64,

@@ -1,8 +1,6 @@
 //! Report emitters: aligned text tables, CSV, and paper-vs-measured
 //! experiment records used by the per-figure binaries and EXPERIMENTS.md.
 
-use serde::{Deserialize, Serialize};
-
 /// A simple column-aligned text table (monospace output for terminals and
 /// markdown code blocks).
 #[derive(Debug, Clone, Default)]
@@ -86,7 +84,7 @@ impl Table {
 }
 
 /// One paper-vs-measured record, the unit of EXPERIMENTS.md.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentRecord {
     /// Experiment id, e.g. `"fig5"` or `"table1"`.
     pub id: String,

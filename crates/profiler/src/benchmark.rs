@@ -9,13 +9,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::machine_model::SyntheticMachine;
 use crate::wattmeter::Wattmeter;
 
 /// Benchmark protocol parameters (defaults = the paper's).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchmarkConfig {
     /// Duration of one run (paper: 30 s).
     pub run_seconds: u64,
@@ -42,7 +41,7 @@ impl Default for BenchmarkConfig {
 }
 
 /// Result of one concurrency level: mean throughput and mean power.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LevelResult {
     /// Concurrent clients offered.
     pub concurrency: u32,
@@ -53,7 +52,7 @@ pub struct LevelResult {
 }
 
 /// Full benchmark outcome: the per-level curve plus the derived maxima.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchmarkResult {
     /// Measured throughput/power at each concurrency level.
     pub levels: Vec<LevelResult>,

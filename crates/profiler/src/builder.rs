@@ -2,7 +2,6 @@
 //! paper's Step 1, ready for Steps 2-5.
 
 use bml_core::profile::ArchProfile;
-use serde::{Deserialize, Serialize};
 
 use crate::benchmark::{run_benchmark, BenchmarkConfig};
 use crate::machine_model::SyntheticMachine;
@@ -10,7 +9,7 @@ use crate::onoff::{measure_boot, measure_shutdown};
 use crate::wattmeter::Wattmeter;
 
 /// Profiling campaign parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ProfilerConfig {
     /// Benchmark protocol (paper defaults when `Default`).
     pub benchmark: BenchmarkConfig,

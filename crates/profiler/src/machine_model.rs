@@ -10,12 +10,12 @@
 //! Siege + WattsUp?Pro would: offered concurrency in, observed throughput
 //! and sampled power out.
 
-use serde::{Deserialize, Serialize};
-
-use bml_app::request::MEAN_WORK_UNITS;
+/// Mean work units per request of the paper's CGI script, whose loop
+/// count is drawn uniformly from `[1000, 2000]` (Sec. V-A).
+pub const MEAN_WORK_UNITS: f64 = 1500.0;
 
 /// Ground-truth description of one physical machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticMachine {
     /// Codename, e.g. `"paravance"`.
     pub name: String,

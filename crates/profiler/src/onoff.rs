@@ -7,13 +7,11 @@
 //! the meter reads zero (shutdown). The energy is the integral of the
 //! sampled power over the transition.
 
-use serde::{Deserialize, Serialize};
-
 use crate::machine_model::SyntheticMachine;
 use crate::wattmeter::Wattmeter;
 
 /// Measured transition characteristics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransitionMeasurement {
     /// Measured duration (s), 1 s resolution like the paper's table.
     pub duration_s: f64,

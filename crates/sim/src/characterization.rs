@@ -6,11 +6,9 @@
 //! reconfiguration depends on whether the application can be migrated and
 //! distributed ("malleability").
 
-use serde::{Deserialize, Serialize};
-
 /// The application metric: what one unit of performance means
 /// (e.g. "requests processed per second" for the paper's web server).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ApplicationMetric {
     /// Metric name, e.g. `"request rate"`.
     pub name: String,
@@ -31,7 +29,7 @@ impl ApplicationMetric {
 /// QoS classes (paper Sec. III): critical applications have strict
 /// performance requirements; tolerant ones accept soft degradation;
 /// intermediate classes interpolate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum QosClass {
     /// Strict requirements (banking, medical): no capacity shortfall is
     /// acceptable.
@@ -65,7 +63,7 @@ impl QosClass {
 
 /// How much is known about future load (paper Sec. III): perfect, partial
 /// (patterns known, variations not) or unknown (prediction required).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoadKnowledge {
     /// Load is known with precision ahead of time.
     Perfect,
@@ -76,7 +74,7 @@ pub enum LoadKnowledge {
 }
 
 /// Whether and how the application can be spread over several machines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Malleability {
     /// Can the application be distributed across several machines at all?
     pub distributable: bool,
@@ -119,7 +117,7 @@ impl Malleability {
 
 /// Migration overhead of one application instance, "both in terms of
 /// duration and energy consumption" (paper Sec. III).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationCost {
     /// Seconds to stop, transfer (if any state) and restart an instance.
     pub duration_s: f64,
@@ -147,7 +145,7 @@ impl MigrationCost {
 
 /// Complete application characterization consumed by the scheduler and
 /// the simulator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ApplicationSpec {
     /// Human-readable name.
     pub name: String,

@@ -16,10 +16,9 @@ use std::collections::VecDeque;
 use bml_core::combination::{config_power, SplitPolicy};
 use bml_core::profile::ArchProfile;
 use bml_core::reconfig::ReconfigPlan;
-use serde::{Deserialize, Serialize};
 
 /// Machine counts of one architecture in each lifecycle state.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ArchPool {
     /// Machines on and serving (including retiring machines that are still
     /// serving while their replacements boot).
@@ -63,10 +62,8 @@ impl ArchPool {
 /// The simulated cluster. Borrows the candidate profiles from the
 /// infrastructure that owns them — a replay spins up one cluster per
 /// scenario, and cloning the profile vector per run was a measurable
-/// share of the sweep runners' allocations. Serialize-only: the borrowed
-/// profiles slice cannot be deserialized into (rebuild a cluster from its
-/// owning infrastructure instead).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// share of the ablation sweeps' allocations.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cluster<'a> {
     profiles: &'a [ArchProfile],
     pools: Vec<ArchPool>,

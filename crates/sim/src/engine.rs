@@ -65,7 +65,6 @@
 //! so even the reference mode never pays the full combination search once
 //! per simulated second.
 
-use bml_app::{plan_migrations, ApplicationSpec};
 use bml_core::bml::BmlInfrastructure;
 use bml_core::combination::SplitPolicy;
 use bml_core::reconfig::Configuration;
@@ -73,13 +72,14 @@ use bml_core::scheduler::{paper_window_length, Decision, ProActiveScheduler, Sch
 use bml_core::transition_aware::{TransitionAwareConfig, TransitionAwareScheduler};
 use bml_metrics::EnergyMeter;
 use bml_trace::{LoadTrace, Predictor};
-use serde::{Deserialize, Serialize};
 
+use crate::characterization::ApplicationSpec;
 use crate::cluster::Cluster;
+use crate::migration::plan_migrations;
 use crate::qos::QosReport;
 
 /// Which reconfiguration scheduler drives the simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SchedulerKind {
     /// The paper's pro-active scheduler: always jump to the ideal
     /// combination for the prediction.
@@ -90,7 +90,7 @@ pub enum SchedulerKind {
 }
 
 /// How the engine advances simulated time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Stepping {
     /// Tick every simulated second — the reference implementation.
     PerSecond,
@@ -139,7 +139,7 @@ impl AnyScheduler {
 }
 
 /// Simulation parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Look-ahead window (s); `None` uses the paper's rule of
     /// 2 x the longest switch-on duration.
@@ -190,7 +190,7 @@ impl Default for SimConfig {
 /// failure trajectory is identical under per-second and event-driven
 /// stepping — the event loop jumps straight to the next eligible
 /// candidate instead of flipping a coin 86 400 times per machine-day.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailureModel {
     /// Mean time between failures of one machine (s).
     pub mtbf_s: f64,
@@ -352,7 +352,7 @@ impl FailureSampler {
 }
 
 /// One reconfiguration launched during a run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReconfigRecord {
     /// The second the decision was taken.
     pub at: u64,
@@ -361,7 +361,7 @@ pub struct ReconfigRecord {
 }
 
 /// Aggregated outcome of one simulated scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioResult {
     /// Scenario name (e.g. `"Big-Medium-Little"`).
     pub name: String,
@@ -423,7 +423,7 @@ pub struct ScenarioResult {
 /// every scalar of [`ScenarioResult`] and nothing that grows with the run
 /// (no per-day vectors, no reconfiguration log) — hundreds of grid cells
 /// stay cheap to hold, serialize, and diff.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellSummary {
     /// Total energy (J), transitions included.
     pub total_energy_j: f64,

@@ -1,11 +1,11 @@
 //! The shared experiment-cell executor.
 //!
-//! Every experiment in this repo — the four ablation sweeps in
-//! [`crate::runner`], the `bml-grid` multi-dimensional scenario grids, the
-//! bench binaries — boils down to the same unit of work: *run the BML
-//! pro-active scenario once under a specific knob setting*. This module is
-//! the single implementation of that unit ([`run_cell`]) plus the one
-//! parallel fan-out everything shares ([`run_cells`]).
+//! Every experiment in this repo — the ablation binaries' one-knob
+//! sweeps, the `bml-grid` multi-dimensional scenario grids — boils down
+//! to the same unit of work: *run the BML pro-active scenario once under a
+//! specific knob setting*. This module is the single implementation of
+//! that unit ([`run_cell`]) plus the one parallel fan-out everything
+//! shares ([`run_cells`]).
 //!
 //! Determinism contract: [`run_cells`] preserves input order (the rayon
 //! parallel map deposits each result in its input's slot — the vendored
@@ -17,21 +17,20 @@
 //! any `--threads` setting, and keys its content-addressed cell cache on
 //! [`CellConfig::stable_descriptor`].
 
-use bml_app::ApplicationSpec;
 use bml_core::bml::BmlInfrastructure;
 use bml_core::combination::SplitPolicy;
 use bml_core::scheduler::paper_window_length;
 use bml_trace::{LoadTrace, LookaheadMaxPredictor, NoisyPredictor};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
+use crate::characterization::ApplicationSpec;
 use crate::engine::{
     simulate_bml, FailureModel, ScenarioResult, SchedulerKind, SimConfig, Stepping,
 };
 
 /// Everything that distinguishes one experiment cell from another, apart
 /// from the trace and the infrastructure it runs against.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellConfig {
     /// Scheduler implementation driving the reconfigurations.
     pub scheduler: SchedulerKind,
@@ -236,6 +235,7 @@ mod tests {
     use super::*;
     use crate::scenarios;
     use bml_core::catalog;
+    use bml_trace::synthetic;
 
     fn bml() -> BmlInfrastructure {
         BmlInfrastructure::build(&catalog::table1()).unwrap()
@@ -253,6 +253,19 @@ mod tests {
             rates.extend(std::iter::repeat_n(l, len));
         }
         LoadTrace::new(0, rates)
+    }
+
+    /// Run `cells` against one trace and infrastructure, in order.
+    fn run_knobs(
+        trace: &LoadTrace,
+        bml: &BmlInfrastructure,
+        cells: Vec<CellConfig>,
+    ) -> Vec<ScenarioResult> {
+        let jobs: Vec<CellJob<'_>> = cells
+            .into_iter()
+            .map(|cell| CellJob { trace, bml, cell })
+            .collect();
+        run_cells(&jobs, None)
     }
 
     #[test]
@@ -291,7 +304,7 @@ mod tests {
 
     #[test]
     fn failure_model_survives_the_cell_wrapping() {
-        // The sweeps lift SimConfig through CellConfig::from_sim; a base
+        // The ablations lift SimConfig through CellConfig::from_sim; a base
         // with crash injection must keep injecting (regression: the
         // wrapper once dropped `failures`).
         let trace = step_trace(&[150.0], 3_000);
@@ -407,5 +420,70 @@ mod tests {
         // Order check: energies track the peak ordering of the traces.
         assert!(one[3].total_energy_j < one[0].total_energy_j);
         assert!(one[0].total_energy_j < one[2].total_energy_j);
+    }
+
+    #[test]
+    fn window_cells_produce_all_points() {
+        let trace = synthetic::diurnal(10.0, 800.0, 4.0, 1);
+        let bml = bml();
+        let windows = [60, 378, 1_800];
+        let cells = windows
+            .iter()
+            .map(|&w| CellConfig {
+                window: Some(w),
+                ..clean_cell()
+            })
+            .collect();
+        let res = run_knobs(&trace, &bml, cells);
+        assert_eq!(res.len(), 3);
+        // Longer windows over-provision more: energy is non-decreasing in
+        // window length (modulo reconfiguration savings; allow slack).
+        let e60 = res[0].total_energy_j;
+        let e1800 = res[2].total_energy_j;
+        assert!(e1800 > e60 * 0.9, "e60={e60} e1800={e1800}");
+    }
+
+    #[test]
+    fn zero_sigma_noise_cell_matches_clean_run() {
+        let trace = synthetic::diurnal(10.0, 800.0, 4.0, 1);
+        let bml = bml();
+        let clean = scenarios::bml_proactive(&trace, &bml, &SimConfig::default());
+        let cells = [0.0, 0.3]
+            .iter()
+            .map(|&sigma| CellConfig {
+                noise_sigma: sigma,
+                noise_seed: 7,
+                ..clean_cell()
+            })
+            .collect();
+        let noisy = run_knobs(&trace, &bml, cells);
+        assert_eq!(noisy.len(), 2);
+        assert!((noisy[0].total_energy_j - clean.total_energy_j).abs() < 1e-6);
+        // Under-prediction with noise must hurt QoS or change energy.
+        let degraded = &noisy[1];
+        assert!(
+            degraded.qos.violation_seconds > clean.qos.violation_seconds
+                || (degraded.total_energy_j - clean.total_energy_j).abs() > 1.0
+        );
+    }
+
+    #[test]
+    fn greedy_split_cell_no_worse_than_proportional() {
+        let trace = synthetic::diurnal(10.0, 1_500.0, 4.0, 1);
+        let bml = bml();
+        let cells = [
+            SplitPolicy::EfficiencyGreedy,
+            SplitPolicy::ProportionalToCapacity,
+        ]
+        .into_iter()
+        .map(|split| CellConfig {
+            split,
+            ..clean_cell()
+        })
+        .collect();
+        let res = run_knobs(&trace, &bml, cells);
+        assert_eq!(res.len(), 2);
+        let (greedy, prop) = (&res[0], &res[1]);
+        assert!(greedy.total_energy_j <= prop.total_energy_j + 1e-6);
     }
 }

@@ -6,6 +6,9 @@
 //! pro-active BML scheduler against it at 1 Hz, accounting computation
 //! energy, On/Off transition energy, and QoS.
 //!
+//! * [`characterization`] — the application characterization of paper
+//!   Sec. III (QoS classes, load knowledge, malleability, migration cost)
+//!   and [`migration`], the instance moves a reconfiguration implies;
 //! * [`cluster`] — per-architecture machine pools with the
 //!   Off → Booting → On → ShuttingDown lifecycle and transition power
 //!   ramps that integrate exactly to the Table I transition energies;
@@ -21,28 +24,31 @@
 //! * [`exec`] — the shared experiment-cell executor: one knob setting =
 //!   one cell, fanned out rayon-parallel with order-preserving,
 //!   thread-count-independent results;
-//! * [`runner`] — the Fig. 5 comparison and the ablation sweeps, thin
-//!   wrappers over [`exec`].
+//! * [`runner`] — the Fig. 5 comparison.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod characterization;
 pub mod cluster;
 pub mod engine;
 pub mod exec;
+pub mod migration;
 pub mod qos;
 pub mod replay;
 pub mod runner;
 pub mod scenarios;
 
+pub use characterization::{
+    ApplicationMetric, ApplicationSpec, LoadKnowledge, Malleability, MigrationCost, QosClass,
+};
 pub use cluster::{ArchPool, Cluster};
 pub use engine::{
     simulate_bml, CellSummary, FailureModel, ReconfigRecord, ScenarioResult, SchedulerKind,
     SimConfig, Stepping,
 };
 pub use exec::{run_cell, run_cells, run_cells_checked, CellConfig, CellJob, CellPanic};
+pub use migration::{plan_migrations, MigrationPlan};
 pub use qos::QosReport;
 pub use replay::replay_schedule;
-pub use runner::{
-    run_comparison, sweep_prediction_noise, sweep_split_policy, sweep_window, ComparisonResult,
-};
+pub use runner::{run_comparison, ComparisonResult};

@@ -7,12 +7,10 @@
 //! switched on; surplus instances simply stop and new capacity simply
 //! starts fresh.
 
-use serde::{Deserialize, Serialize};
-
 use crate::characterization::MigrationCost;
 
 /// Instance-level actions needed to follow a machine reconfiguration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MigrationPlan {
     /// `(arch, count)` of instances stopped with no replacement (capacity
     /// shrinks).

@@ -5,13 +5,11 @@
 //! the same granularity as the paper's simulator, which slides its
 //! prediction window "one time step forwards, a second in this case".
 
-use serde::{Deserialize, Serialize};
-
 /// Seconds per day, the paper's Fig. 5 aggregation unit.
 pub const SECONDS_PER_DAY: u64 = 86_400;
 
 /// A per-second load trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadTrace {
     /// Label of the first day in the trace (the paper's World Cup slice
     /// starts at day 6).

@@ -23,8 +23,6 @@
 //! 30 GB trace itself, but with this parser the shipped experiments run
 //! unchanged on the real data.
 
-use bytes::Buf;
-
 use crate::trace::LoadTrace;
 
 /// Size of one binary record.
@@ -99,18 +97,18 @@ impl std::fmt::Display for Wc98Error {
 
 impl std::error::Error for Wc98Error {}
 
-/// Decode one whole record from the front of a [`Buf`].
-fn decode_record(buf: &mut impl Buf) -> Wc98Record {
-    debug_assert!(buf.remaining() >= RECORD_BYTES);
+/// Decode one whole big-endian record.
+fn decode_record(r: &[u8; RECORD_BYTES]) -> Wc98Record {
+    let u32_at = |i: usize| u32::from_be_bytes([r[i], r[i + 1], r[i + 2], r[i + 3]]);
     Wc98Record {
-        timestamp: buf.get_u32(),
-        client_id: buf.get_u32(),
-        object_id: buf.get_u32(),
-        size: buf.get_u32(),
-        method: buf.get_u8(),
-        status: buf.get_u8(),
-        file_type: buf.get_u8(),
-        server: buf.get_u8(),
+        timestamp: u32_at(0),
+        client_id: u32_at(4),
+        object_id: u32_at(8),
+        size: u32_at(12),
+        method: r[16],
+        status: r[17],
+        file_type: r[18],
+        server: r[19],
     }
 }
 
@@ -150,17 +148,14 @@ impl Wc98Decoder {
             if self.partial_len < RECORD_BYTES {
                 return; // chunk exhausted mid-record
             }
-            let mut head: &[u8] = &self.partial;
-            out.push(decode_record(&mut head));
+            out.push(decode_record(&self.partial));
             self.partial_len = 0;
         }
-        out.reserve(chunk.len() / RECORD_BYTES);
-        while chunk.remaining() >= RECORD_BYTES {
-            out.push(decode_record(&mut chunk));
-        }
-        if !chunk.is_empty() {
-            self.partial[..chunk.len()].copy_from_slice(chunk);
-            self.partial_len = chunk.len();
+        let (records, rest) = chunk.as_chunks::<RECORD_BYTES>();
+        out.extend(records.iter().map(decode_record));
+        if !rest.is_empty() {
+            self.partial[..rest.len()].copy_from_slice(rest);
+            self.partial_len = rest.len();
         }
     }
 

@@ -19,12 +19,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::trace::LoadTrace;
 
 /// Parameters of the World-Cup-like generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorldCupParams {
     /// RNG seed; the default (1998) is used by all shipped experiments.
     pub seed: u64,

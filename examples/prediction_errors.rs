@@ -10,7 +10,7 @@
 //! ```
 
 use bml::prelude::*;
-use bml::sim::{runner::sweep_prediction_noise, simulate_bml};
+use bml::sim::{run_cells, simulate_bml, CellConfig, CellJob};
 use bml::trace::{synthetic, EwmaPredictor, LastValuePredictor};
 
 fn main() {
@@ -23,9 +23,21 @@ fn main() {
         "{:<8} {:>12} {:>10} {:>16} {:>14}",
         "sigma", "energy(kWh)", "reconfigs", "shortfall(%)", "worst sec(%)"
     );
-    for (sigma, r) in
-        sweep_prediction_noise(&trace, &infra, &[0.0, 0.05, 0.1, 0.2, 0.4], 1998, &config)
-    {
+    let base = CellConfig::from_sim(&config);
+    let sigmas = [0.0, 0.05, 0.1, 0.2, 0.4];
+    let jobs: Vec<CellJob<'_>> = sigmas
+        .iter()
+        .map(|&sigma| CellJob {
+            trace: &trace,
+            bml: &infra,
+            cell: CellConfig {
+                noise_sigma: sigma,
+                noise_seed: 1998,
+                ..base.clone()
+            },
+        })
+        .collect();
+    for (sigma, r) in sigmas.iter().zip(run_cells(&jobs, None)) {
         println!(
             "{:<8.2} {:>12.3} {:>10} {:>16.4} {:>14.1}",
             sigma,

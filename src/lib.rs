@@ -11,11 +11,9 @@
 //!   pro-active scheduler;
 //! * [`trace`] (`bml-trace`) — load traces, the World-Cup-98-like
 //!   workload, predictors;
-//! * [`app`] (`bml-app`) — application characterization and the stateless
-//!   web server;
 //! * [`metrics`] (`bml-metrics`) — IPR/LDR, energy accounting, reports;
-//! * [`sim`] (`bml-sim`) — the discrete-event simulator and the four
-//!   Fig. 5 scenarios;
+//! * [`sim`] (`bml-sim`) — application characterization, the
+//!   discrete-event simulator and the four Fig. 5 scenarios;
 //! * [`grid`] (`bml-grid`) — declarative multi-dimensional scenario
 //!   grids executed rayon-parallel with deterministic artifacts;
 //! * [`opt`] (`bml-opt`) — offline-optimal reconfiguration schedules via
@@ -31,7 +29,6 @@
 
 #![warn(missing_docs)]
 
-pub use bml_app as app;
 pub use bml_core as core;
 pub use bml_grid as grid;
 pub use bml_metrics as metrics;
@@ -42,12 +39,11 @@ pub use bml_trace as trace;
 
 /// One-stop import of the most used types across the workspace.
 pub mod prelude {
-    pub use bml_app::{ApplicationSpec, BalancePolicy, Fleet, QosClass};
     pub use bml_core::prelude::*;
-    pub use bml_grid::{run_grid, GridOutcome, GridSpec};
+    pub use bml_grid::{GridOutcome, GridRunner, GridSpec};
     pub use bml_metrics::{EnergyMeter, ExperimentRecord, OverheadStats, Table};
     pub use bml_opt::{solve_verified, OptOptions, OptimalSchedule};
     pub use bml_profiler::{paper_machines, profile_park, ProfilerConfig};
-    pub use bml_sim::{run_comparison, ScenarioResult, SimConfig};
+    pub use bml_sim::{run_comparison, ApplicationSpec, QosClass, ScenarioResult, SimConfig};
     pub use bml_trace::{LoadTrace, LookaheadMaxPredictor, OraclePredictor, Predictor};
 }
