@@ -12,13 +12,15 @@
 //! cargo run --release -p bml-bench --bin grid -- \
 //!     [--days N] [--seed N] [--threads N] [--out-dir PATH] [--csv] \
 //!     [--cache-dir PATH] [--stepping event|per-second] \
-//!     [--resume] [--max-retries N] [--chaos SEED] [--kill-after N]
+//!     [--max-retries N] [--chaos SEED] [--kill-after N] \
+//!     [--telemetry-out PATH]
 //! ```
 //!
 //! Without `--stepping` the grid sweeps *both* modes as a dimension (CI
-//! diffs the twins); with it, only the requested mode runs. With
-//! `--cache-dir`, cell results are memoized content-addressed under that
-//! directory.
+//! diffs the twins); with it, only the requested mode runs. Cell results
+//! and optimum solves are memoized content-addressed under `--cache-dir`;
+//! without it, under a scratch `cache/` in `--out-dir` that a completed
+//! run removes.
 //!
 //! # Telemetry
 //!
@@ -34,17 +36,21 @@
 //!
 //! # Fault tolerance
 //!
-//! Every run journals decided cells into `--out-dir` (checksummed,
-//! append-only `BENCH_grid.journal`); `--kill-after N` crashes the run
-//! deterministically after N cells, and `--resume` replays the journal
-//! instead of recomputing — the resumed artifacts are byte-identical to
-//! an uninterrupted run. Panicking cells are retried (`--max-retries`,
-//! default 1) with the same seed and then quarantined into the
-//! artifact's `failed_cells` section instead of aborting the grid.
-//! `--chaos SEED` injects cell panics (p=0.25 per attempt) and torn
-//! journal writes (p=0.1 per record) on a seeded, thread-count-
+//! Every run is resumable: the cell cache stores each succeeded cell
+//! before the run moves on, so rerunning a killed run into the same
+//! `--out-dir` (or against the same `--cache-dir`) serves the decided
+//! cells warm and computes the rest — the resumed artifacts are
+//! byte-identical to an uninterrupted run. Only a run that did not
+//! complete leaves the scratch cache behind, so rerunning a completed
+//! run recomputes every cell (cache keys do not cover the code). `--kill-after N` crashes the
+//! run deterministically after N cells. Panicking cells are retried
+//! (`--max-retries`, default 1) with the same seed and then quarantined
+//! into the artifact's `failed_cells` section instead of aborting the
+//! grid; quarantines are not cached, and a rerun re-decides them to the
+//! same outcome. `--chaos SEED` injects cell panics (p=0.25 per attempt)
+//! and torn cache writes (p=0.1 per entry) on a seeded, thread-count-
 //! independent schedule — the CI chaos job kills such a run mid-flight,
-//! resumes it, and diffs the artifacts against a clean run.
+//! reruns it, and diffs the artifacts against an uninterrupted one.
 
 use std::path::Path;
 use std::time::Duration;
@@ -126,22 +132,23 @@ fn main() {
     });
     let started = std::time::Instant::now();
     let out_dir = Path::new(&args.out_dir);
-    let mut runner = GridRunner::new(&spec)
+    let mut runner = GridRunner::new(&spec);
+    runner = match &args.cache_dir {
+        Some(dir) => runner.cache_dir(dir),
+        // Scratch cache: a killed run resumes from it, a completed run
+        // removes it.
+        None => runner.journal_dir(out_dir.join("cache")),
+    };
+    runner = runner
         .threads_opt(args.threads)
-        .cache_dir_opt(args.cache_dir.as_deref())
         .max_retries(args.max_retries_or(1))
         .heartbeat(Duration::from_secs(1))
         .sink(&mut sink);
-    runner = if args.resume {
-        runner.resume(out_dir)
-    } else {
-        runner.journal_dir(out_dir)
-    };
     if let Some(seed) = args.chaos {
         // The smoke chaos schedule: enough cell panics that retries and
-        // quarantine both fire on a 144-cell grid, plus torn journal
-        // records to exercise resume recovery. Sink/cache I/O faults are
-        // deliberately excluded — CI gates on the artifact file.
+        // quarantine both fire on a 144-cell grid, plus torn cache
+        // entries to exercise recovery on a rerun. Sink/cache I/O faults
+        // are deliberately excluded — CI gates on the artifact file.
         runner = runner.chaos(ChaosPolicy::new(seed).panic_prob(0.25).torn_write_prob(0.1));
     }
     if let Some(n) = args.kill_after {
@@ -203,31 +210,29 @@ fn main() {
                 ),
             ),
     );
-    if args.cache_dir.is_some() {
-        // Telemetry only — CI reads the same numbers from the telemetry
-        // artifact's host section; artifacts never carry them.
-        event(
-            json::Object::new()
-                .str("event", "cache")
-                .int("hits", run.cache.hits)
-                .int("lookups", run.cache.lookups)
-                .int("opt_hits", run.cache.opt_hits)
-                .int("opt_lookups", run.cache.opt_lookups)
-                .num("hit_rate", run.cache.hit_rate())
-                .str(
-                    "message",
-                    &format!(
-                        "cell cache: {} hits / {} lookups ({:.1}%), \
-                         {} opt hits / {} opt lookups",
-                        run.cache.hits,
-                        run.cache.lookups,
-                        100.0 * run.cache.hit_rate(),
-                        run.cache.opt_hits,
-                        run.cache.opt_lookups,
-                    ),
+    // Telemetry only — CI reads the same numbers from the telemetry
+    // artifact's host section; artifacts never carry them.
+    event(
+        json::Object::new()
+            .str("event", "cache")
+            .int("hits", run.cache.hits)
+            .int("lookups", run.cache.lookups)
+            .int("opt_hits", run.cache.opt_hits)
+            .int("opt_lookups", run.cache.opt_lookups)
+            .num("hit_rate", run.cache.hit_rate())
+            .str(
+                "message",
+                &format!(
+                    "cell cache: {} hits / {} lookups ({:.1}%), \
+                     {} opt hits / {} opt lookups",
+                    run.cache.hits,
+                    run.cache.lookups,
+                    100.0 * run.cache.hit_rate(),
+                    run.cache.opt_hits,
+                    run.cache.opt_lookups,
                 ),
-        );
-    }
+            ),
+    );
 
     let render_t0 = std::time::Instant::now();
     let out = &run.outcome;

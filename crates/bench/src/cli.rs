@@ -11,15 +11,16 @@
 /// The usage line printed by `--help` and on any parse error.
 pub const USAGE: &str = "usage: [--seed N] [--days N] [--window S] [--noise SIGMA] [--csv] \
      [--json PATH] [--threads N] [--out-dir PATH] [--cache-dir PATH] \
-     [--stepping event|per-second] [--resume] [--max-retries N] \
+     [--stepping event|per-second] [--max-retries N] \
      [--chaos SEED] [--kill-after N] [--telemetry-out PATH]";
 
 /// Common command-line options of the experiment binaries.
 ///
 /// Flags: `--seed N`, `--days N`, `--window S`, `--csv`, `--noise SIGMA`,
 /// `--json PATH`, `--threads N`, `--out-dir PATH`, `--cache-dir PATH`,
-/// `--stepping event|per-second`. Unknown flags abort with a usage
-/// message.
+/// `--stepping event|per-second`, `--max-retries N`, `--chaos SEED`,
+/// `--kill-after N`, `--telemetry-out PATH`. Unknown flags abort with a
+/// usage message.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Args {
     /// RNG seed (default 1998, the shipped experiment seed).
@@ -47,26 +48,26 @@ pub struct Args {
     /// (default `.`).
     pub out_dir: String,
     /// Content-addressed cell-cache directory for the `grid` binary;
-    /// `None` disables caching. Safe to share across specs and thread
-    /// counts — keys hash cell content, never execution shape.
+    /// `None` = a scratch `cache/` under `--out-dir` that only a killed
+    /// run leaves behind, so a killed grid run resumes by rerunning it
+    /// and a completed one recomputes. Safe to share across specs and
+    /// thread counts — keys hash cell content, never execution shape.
     pub cache_dir: Option<String>,
     /// Engine stepping mode for the simulation binaries; `None` when
     /// `--stepping` was not given (single-run binaries default to
     /// event-driven via [`Args::stepping_or_default`]; the `grid` binary
     /// sweeps both modes unless one is requested explicitly).
     pub stepping: Option<bml_sim::Stepping>,
-    /// Resume the `grid` binary from the journal a previous (killed) run
-    /// left in `--out-dir`: already-decided cells replay from disk.
-    pub resume: bool,
     /// Retry budget for panicking grid cells; `None` = the runner's
     /// default (one retry). Read through [`Args::max_retries_or`].
     pub max_retries: Option<u32>,
     /// Chaos seed for the `grid` binary; `None` disables fault injection.
     /// A seed enables the smoke chaos schedule (cell panics + torn
-    /// journal writes) — see the `grid` binary docs.
+    /// cache writes) — see the `grid` binary docs.
     pub chaos: Option<u64>,
     /// Deterministically crash the `grid` binary after N emitted cells
-    /// (crash-resume testing); `None` runs to completion.
+    /// (crash-resume testing: rerun into the same `--out-dir` to
+    /// resume); `None` runs to completion.
     pub kill_after: Option<usize>,
     /// Path for the `bml-obs/v1` telemetry document. The `grid` binary
     /// defaults to `BENCH_grid.telemetry.json` under `--out-dir`; other
@@ -87,7 +88,6 @@ impl Default for Args {
             out_dir: ".".into(),
             cache_dir: None,
             stepping: None,
-            resume: false,
             max_retries: None,
             chaos: None,
             kill_after: None,
@@ -145,7 +145,6 @@ impl Args {
                         }
                     })
                 }
-                "--resume" => out.resume = true,
                 "--max-retries" => {
                     out.max_retries = Some(parse_num(&value("--max-retries")?, "--max-retries")?)
                 }
@@ -236,7 +235,6 @@ mod tests {
         assert_eq!(a.cache_dir, None);
         assert_eq!(a.stepping, None);
         assert_eq!(a.stepping_or_default(), bml_sim::Stepping::EventDriven);
-        assert!(!a.resume);
         assert_eq!(a.max_retries, None);
         assert_eq!(a.max_retries_or(1), 1);
         assert_eq!(a.chaos, None);
@@ -292,16 +290,7 @@ mod tests {
 
     #[test]
     fn fault_tolerance_flags() {
-        let a = parse(&[
-            "--resume",
-            "--max-retries",
-            "3",
-            "--chaos",
-            "42",
-            "--kill-after",
-            "72",
-        ]);
-        assert!(a.resume);
+        let a = parse(&["--max-retries", "3", "--chaos", "42", "--kill-after", "72"]);
         assert_eq!(a.max_retries, Some(3));
         assert_eq!(a.max_retries_or(1), 3);
         assert_eq!(a.chaos, Some(42));

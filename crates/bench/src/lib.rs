@@ -1,7 +1,8 @@
 //! # bml-bench — experiment binaries and Criterion benches
 //!
-//! One binary per paper table/figure (see DESIGN.md's per-experiment
-//! index) plus ablation studies and the multi-dimensional `grid` runner.
+//! One binary per paper table/figure (see README's "Figure & ablation
+//! binaries" and "Paper map" sections) plus ablation studies and the
+//! multi-dimensional `grid` runner.
 //! This library hosts the shared CLI argument plumbing ([`cli`]) so the
 //! twelve binaries parse `--seed`/`--days`/`--threads`/... one way.
 

@@ -40,6 +40,11 @@
 //! turn disk rot into a panic or a wrong artifact. Writes go through a
 //! temp file + atomic rename, so a killed run leaves no half-written
 //! entries behind.
+//!
+//! That makes the cache the grid's crash-resume store as well: every
+//! succeeded cell is stored before the run moves on, so rerunning a
+//! killed run against the same directory serves what was decided and
+//! computes the rest (see [`crate::executor`]).
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -48,6 +53,8 @@ use bml_core::bml::BmlInfrastructure;
 use bml_sim::exec::CellConfig;
 use bml_sim::{CellSummary, Stepping};
 use bml_trace::LoadTrace;
+
+use crate::chaos::{ChaosPolicy, STREAM_CACHE_IO};
 
 /// Version tag of the on-disk entry encoding. Bump on any change to the
 /// entry format or field set; old entries then simply miss.
@@ -246,6 +253,20 @@ impl CellCache {
         Ok(CellCache { cells, opts })
     }
 
+    /// Delete the cache rooted at `dir`: its entry stores, then `dir`
+    /// itself unless something else (say, a run's artifacts) lives there.
+    /// A missing cache is not an error.
+    pub fn remove(dir: &Path) -> io::Result<()> {
+        for store in ["cells", "opt"] {
+            match std::fs::remove_dir_all(dir.join(store)) {
+                Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+                _ => {}
+            }
+        }
+        std::fs::remove_dir(dir).ok();
+        Ok(())
+    }
+
     /// Load a cell summary by key; `None` on miss **or** on any decode
     /// problem (corrupt entries are treated as misses, never errors).
     pub fn load_cell(&self, key: &str) -> Option<CellSummary> {
@@ -259,6 +280,27 @@ impl CellCache {
     /// pass runs later.
     pub fn store_cell(&self, key: &str, summary: &CellSummary) -> io::Result<()> {
         write_atomic(&self.cells, key, &encode_summary(summary))
+    }
+
+    /// [`CellCache::store_cell`] under a chaos schedule, keyed on write
+    /// `counter`: an injected I/O error surfaces as `Err`, and a torn
+    /// write keeps only a prefix of the entry under its final key
+    /// (power loss after the rename). The decoder turns such a prefix
+    /// into a miss, so the next run recomputes the cell.
+    pub(crate) fn store_cell_chaos(
+        &self,
+        key: &str,
+        summary: &CellSummary,
+        chaos: &ChaosPolicy,
+        counter: u64,
+    ) -> io::Result<()> {
+        if let Some(e) = chaos.io_error(STREAM_CACHE_IO, counter) {
+            return Err(e);
+        }
+        let body = encode_summary(summary);
+        let keep = chaos.torn_len(body.len(), counter).unwrap_or(body.len());
+        // The encoding is ASCII, so every prefix is a valid `str`.
+        write_atomic(&self.cells, key, &body[..keep])
     }
 
     /// Load a cached optimum solve by key.
@@ -341,9 +383,8 @@ fn write_atomic(dir: &Path, key: &str, body: &str) -> io::Result<()> {
 
 /// Line-based entry body. Floats are stored as exact hex bit patterns —
 /// formatting round-trips are exactly the kind of bug a byte-identity
-/// guarantee cannot afford. Shared with `crate::journal`, whose success
-/// records carry the same payload (optima stripped, stamped after load).
-pub(crate) fn encode_summary(s: &CellSummary) -> String {
+/// guarantee cannot afford.
+fn encode_summary(s: &CellSummary) -> String {
     format!(
         "{CACHE_FORMAT}\n\
          total_energy_j={:016x}\n\
@@ -385,7 +426,7 @@ fn parse_dec_field(line: &str, name: &str) -> Option<u64> {
     line.strip_prefix(name)?.strip_prefix('=')?.parse().ok()
 }
 
-pub(crate) fn decode_summary(text: &str) -> Option<CellSummary> {
+fn decode_summary(text: &str) -> Option<CellSummary> {
     let mut lines = text.lines();
     if lines.next() != Some(CACHE_FORMAT) {
         return None;

@@ -7,12 +7,12 @@
 //!
 //! * **cell panics** — a cell's execution panics instead of returning,
 //!   exercising the isolate/retry/quarantine path in the executor;
-//! * **I/O errors** — cache, sink, or journal writes fail with an
-//!   injected error, exercising graceful degradation to in-memory
-//!   execution;
-//! * **torn writes** — a journal record is cut short mid-write
-//!   (simulated power loss), exercising the checksummed-framing recovery
-//!   on resume.
+//! * **I/O errors** — cache or sink writes fail with an injected error,
+//!   exercising graceful degradation to in-memory execution;
+//! * **torn writes** — a cell-cache entry keeps only a prefix under its
+//!   final key (simulated power loss after the rename), exercising the
+//!   decoder's corrupt-entry-is-a-miss recovery when a killed run is
+//!   rerun against its cache.
 //!
 //! # Keying scheme
 //!
@@ -29,7 +29,10 @@
 //! Cell-panic draws are keyed on the cell's **enumeration index** and
 //! the **attempt number**, so a cell doomed on attempt 1 may succeed on
 //! attempt 2 (transient fault) or keep failing (quarantine) — determined
-//! by the seed, not by luck.
+//! by the seed, not by luck. The same purity is why quarantines need no
+//! persistence: the cell cache stores only successes, and a killed run
+//! rerun under the same policy and retry budget re-decides every
+//! quarantined cell to the same attempt count and panic digest.
 
 use std::io;
 
@@ -41,9 +44,7 @@ pub const STREAM_CELL_PANIC: u64 = 0x4345_4C4C; // "CELL"
 pub const STREAM_SINK_IO: u64 = 0x5349_4E4B; // "SINK"
 /// Fault stream of injected cell-cache write errors.
 pub const STREAM_CACHE_IO: u64 = 0x4341_4348; // "CACH"
-/// Fault stream of injected journal write errors.
-pub const STREAM_JOURNAL_IO: u64 = 0x4A52_4E4C; // "JRNL"
-/// Fault stream of torn (short) journal writes.
+/// Fault stream of torn (short) cell-cache entry writes.
 pub const STREAM_TORN_WRITE: u64 = 0x544F_524E; // "TORN"
 
 /// A seeded fault-injection schedule. All probabilities are per
@@ -55,9 +56,9 @@ pub struct ChaosPolicy {
     pub seed: u64,
     /// Probability that a cell execution attempt panics.
     pub panic_prob: f64,
-    /// Probability that a cache/sink/journal write errors.
+    /// Probability that a cache/sink write errors.
     pub io_error_prob: f64,
-    /// Probability that a journal record write is torn short.
+    /// Probability that a cell-cache entry write is torn short.
     pub torn_write_prob: f64,
 }
 
@@ -87,7 +88,7 @@ impl ChaosPolicy {
         self
     }
 
-    /// Enable torn journal writes at probability `p` per record.
+    /// Enable torn cell-cache writes at probability `p` per entry.
     #[must_use]
     pub fn torn_write_prob(mut self, p: f64) -> Self {
         self.torn_write_prob = p;
@@ -117,7 +118,7 @@ impl ChaosPolicy {
         })
     }
 
-    /// Should the journal record for cell `counter` be torn? Returns the
+    /// Should the cache entry for cell `counter` be torn? Returns the
     /// number of bytes (strictly less than `full_len`) that reach disk.
     pub fn torn_len(&self, full_len: usize, counter: u64) -> Option<usize> {
         if full_len == 0 || self.roll(STREAM_TORN_WRITE, counter, 0) >= self.torn_write_prob {
@@ -125,13 +126,6 @@ impl ChaosPolicy {
         }
         let frac = self.roll(STREAM_TORN_WRITE, counter, 1);
         Some(((full_len as f64 * frac) as usize).min(full_len - 1))
-    }
-
-    /// Canonical description folded into the journal fingerprint: a
-    /// resumed run under a *different* chaos schedule would decide cells
-    /// differently, so its journal must not be replayed.
-    pub fn descriptor(&self) -> String {
-        format!("{self:?}")
     }
 }
 
@@ -220,11 +214,7 @@ mod tests {
         let cache: Vec<bool> = (0..64)
             .map(|c| p.io_error(STREAM_CACHE_IO, c).is_some())
             .collect();
-        let journal: Vec<bool> = (0..64)
-            .map(|c| p.io_error(STREAM_JOURNAL_IO, c).is_some())
-            .collect();
         assert_ne!(sink, cache);
-        assert_ne!(cache, journal);
     }
 
     #[test]

@@ -24,17 +24,26 @@
 //! **quarantined** into [`GridOutcome::failed_cells`] (artifact schema
 //! `bml-grid/v5`) instead of aborting the run.
 //!
-//! With a journal directory configured, every decided cell (succeeded
-//! *or* quarantined) is appended to a checksummed journal
-//! ([`crate::journal`]) before the run moves on; [`GridRunner::resume`]
-//! replays it so a killed run continues from the last durable cell and
-//! still produces **byte-identical artifacts** to an uninterrupted run.
+//! Resume is a rerun against the cache. Every succeeded cell is stored
+//! under its content key before the run moves on, so rerunning a killed
+//! run against the same cache directory serves the decided cells (and
+//! the optimum solves) from disk and computes the rest — and since warm
+//! and cold runs render the same bytes, the resumed artifacts are
+//! **byte-identical** to an uninterrupted run. Quarantined cells are not
+//! persisted: the rerun decides them again, with the same outcome,
+//! because a cell panic is a pure function of the cell's seed, the chaos
+//! `(index, attempt)` schedule, and the retry budget. For the same
+//! reason a cell the chaos schedule dooms on every attempt is never
+//! served from the cache, so a cache warmed without chaos cannot hide a
+//! quarantine. [`GridRunner::journal_dir`] makes a run without a cache directory
+//! resumable by rooting a scratch cache there, which a completed run
+//! removes again.
 //!
-//! I/O faults degrade instead of failing: a cache, sink, or journal
-//! write error disables that component for the rest of the run and is
-//! reported in [`GridRun::warnings`] — the run itself completes in
-//! memory. Spec validation and trace/catalog resolution stay hard
-//! errors (nothing has run yet, and the result could not be right).
+//! I/O faults degrade instead of failing: a cache or sink write error
+//! disables that component for the rest of the run and is reported in
+//! [`GridRun::warnings`] — the run itself completes in memory. Spec
+//! validation and trace/catalog resolution stay hard errors (nothing has
+//! run yet, and the result could not be right).
 //!
 //! Seeded fault injection for all of the above lives in
 //! [`crate::chaos`].
@@ -44,8 +53,7 @@
 //! # fn demo(spec: &GridSpec) -> Result<(), String> {
 //! let run = GridRunner::new(spec)
 //!     .threads(8)
-//!     .cache_dir("/tmp/bml-cache")
-//!     .resume("out") // journal to out/, replaying any prior attempt
+//!     .journal_dir("out/cache") // a rerun after a kill resumes from here
 //!     .run()?;
 //! eprintln!("cache: {} hits / {} lookups", run.cache.hits, run.cache.lookups);
 //! for w in &run.warnings {
@@ -65,8 +73,7 @@ use bml_sim::exec::{run_cells_checked, CellConfig, CellJob};
 use bml_sim::{CellSummary, SimConfig};
 
 use crate::cache::{self, CacheStats, CellCache, OptEntry};
-use crate::chaos::{panic_digest, ChaosPolicy, STREAM_CACHE_IO, STREAM_SINK_IO};
-use crate::journal::{self, CellEntry, Journal};
+use crate::chaos::{panic_digest, ChaosPolicy, STREAM_SINK_IO};
 use crate::refine::RefineMeta;
 use crate::spec::{CellCoords, GridSpec};
 use crate::stream::CellSink;
@@ -126,7 +133,7 @@ pub struct GridOutcome {
 /// persisting. Callers decide whether that is acceptable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunWarning {
-    /// The degraded component: `"cache"`, `"sink"`, or `"journal"`.
+    /// The degraded component: `"cache"` or `"sink"`.
     pub component: &'static str,
     /// What failed (the underlying I/O error).
     pub message: String,
@@ -157,8 +164,7 @@ pub struct GridRunner<'a> {
     cache_dir: Option<PathBuf>,
     sink: Option<&'a mut dyn CellSink>,
     max_retries: u32,
-    journal_dir: Option<PathBuf>,
-    resume: bool,
+    resume_dir: Option<PathBuf>,
     chaos: Option<ChaosPolicy>,
     kill_after: Option<usize>,
     heartbeat: Option<Duration>,
@@ -166,7 +172,7 @@ pub struct GridRunner<'a> {
 
 impl<'a> GridRunner<'a> {
     /// A runner for `spec` with no thread cap, no cache, no sink, no
-    /// journal, no heartbeat, and one retry per panicking cell.
+    /// heartbeat, and one retry per panicking cell.
     pub fn new(spec: &'a GridSpec) -> Self {
         GridRunner {
             spec,
@@ -174,8 +180,7 @@ impl<'a> GridRunner<'a> {
             cache_dir: None,
             sink: None,
             max_retries: 1,
-            journal_dir: None,
-            resume: false,
+            resume_dir: None,
             chaos: None,
             kill_after: None,
             heartbeat: None,
@@ -205,13 +210,6 @@ impl<'a> GridRunner<'a> {
         self
     }
 
-    /// Enable the cache from an optional CLI flag.
-    #[must_use]
-    pub fn cache_dir_opt(mut self, dir: Option<impl Into<PathBuf>>) -> Self {
-        self.cache_dir = dir.map(Into::into);
-        self
-    }
-
     /// Stream completed cells (enumeration order) into `sink`.
     #[must_use]
     pub fn sink(mut self, sink: &'a mut dyn CellSink) -> Self {
@@ -229,24 +227,18 @@ impl<'a> GridRunner<'a> {
         self
     }
 
-    /// Journal every decided cell into `dir/`[`crate::journal::JOURNAL_NAME`],
-    /// truncating any previous journal (this run starts from scratch).
+    /// Make this run resumable from `dir` without keeping a cache:
+    /// unless a [`GridRunner::cache_dir`] is set, the cell cache is
+    /// rooted at `dir` while the run is in flight, so a rerun after a
+    /// kill serves every cell decided so far from disk. A run that
+    /// completes (with its artifacts streamed whole) removes that cache
+    /// again: cache keys do not cover the simulator's code, so a later
+    /// rerun must recompute rather than replay an older build's results.
+    /// With a cache directory set, that cache already persists every
+    /// decided success and `dir` is unused.
     #[must_use]
     pub fn journal_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.journal_dir = Some(dir.into());
-        self.resume = false;
-        self
-    }
-
-    /// Resume from the journal in `dir`: cells already decided by a
-    /// previous (killed) run with the same spec, retry budget, and chaos
-    /// schedule are replayed from disk instead of recomputed, and the
-    /// journal keeps growing from there. An absent, corrupt-tailed, or
-    /// mismatched journal degrades to a fresh run, never an error.
-    #[must_use]
-    pub fn resume(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.journal_dir = Some(dir.into());
-        self.resume = true;
+        self.resume_dir = Some(dir.into());
         self
     }
 
@@ -257,7 +249,7 @@ impl<'a> GridRunner<'a> {
         self
     }
 
-    /// Abort the run (an `Err`, after journaling) once `n` cells have
+    /// Abort the run (an `Err`, after caching) once `n` cells have
     /// been emitted — a deterministic stand-in for `kill -9` at a record
     /// boundary, used by the crash-resume tests and the CI chaos job.
     #[must_use]
@@ -286,21 +278,34 @@ impl<'a> GridRunner<'a> {
     pub fn run(self) -> Result<GridRun, String> {
         let spec = self.spec;
         let mut sink = self.sink;
-        execute(
+        let scratch = match &self.cache_dir {
+            Some(_) => None,
+            None => self.resume_dir.as_deref(),
+        };
+        let mut run = execute(
             spec,
             ExecOptions {
                 threads: self.threads,
-                cache_dir: self.cache_dir.as_deref(),
+                cache_dir: self.cache_dir.as_deref().or(scratch),
                 refine_meta: None,
                 max_retries: self.max_retries,
-                journal_dir: self.journal_dir.as_deref(),
-                resume: self.resume,
                 chaos: self.chaos,
                 kill_after: self.kill_after,
                 heartbeat: self.heartbeat,
             },
             &mut sink,
-        )
+        )?;
+        // A degraded sink left partial artifacts behind: keep the scratch
+        // cache so that rerunning to get them whole stays cheap.
+        if let Some(dir) = scratch.filter(|_| run.warnings.iter().all(|w| w.component != "sink")) {
+            if let Err(e) = CellCache::remove(dir) {
+                run.warnings.push(RunWarning {
+                    component: "cache",
+                    message: format!("scratch cache removal: {e}"),
+                });
+            }
+        }
+        Ok(run)
     }
 
     /// Adaptively refine the spec instead of running it exhaustively —
@@ -323,14 +328,12 @@ impl<'a> GridRunner<'a> {
 /// Options of one [`execute`] call. The refinement driver uses the
 /// defaults for everything past the cache (intermediate rounds are
 /// re-entrant by construction — the cell cache makes them cheap — so the
-/// journal, chaos, and kill knobs are not threaded through `refine`).
+/// chaos and kill knobs are not threaded through `refine`).
 pub(crate) struct ExecOptions<'a> {
     pub threads: Option<usize>,
     pub cache_dir: Option<&'a std::path::Path>,
     pub refine_meta: Option<&'a RefineMeta>,
     pub max_retries: u32,
-    pub journal_dir: Option<&'a std::path::Path>,
-    pub resume: bool,
     pub chaos: Option<ChaosPolicy>,
     pub kill_after: Option<usize>,
     pub heartbeat: Option<Duration>,
@@ -343,8 +346,6 @@ impl Default for ExecOptions<'_> {
             cache_dir: None,
             refine_meta: None,
             max_retries: 1,
-            journal_dir: None,
-            resume: false,
             chaos: None,
             kill_after: None,
             heartbeat: None,
@@ -458,42 +459,6 @@ pub(crate) fn execute(
     }
     telemetry.span("phase.opt_solve", opt_t0.elapsed());
 
-    // The journal replays decisions from a killed run with the same
-    // fingerprint (spec + schema + RNG keying + retry budget + chaos
-    // schedule); anything else starts fresh. Journal I/O failures
-    // degrade — the run still completes, it just loses resumability.
-    let fingerprint = journal::run_fingerprint(spec, opts.chaos.as_ref(), opts.max_retries);
-    let mut journaled: BTreeMap<usize, CellEntry> = BTreeMap::new();
-    let mut journal: Option<Journal> = match opts.journal_dir {
-        Some(dir) if opts.resume => match Journal::resume(dir, &fingerprint, opts.chaos) {
-            Ok((j, entries)) => {
-                journaled = entries;
-                Some(j)
-            }
-            Err(e) => {
-                warnings.push(RunWarning {
-                    component: "journal",
-                    message: format!("journal resume: {e}; running unjournaled"),
-                });
-                None
-            }
-        },
-        Some(dir) => match Journal::create(dir, &fingerprint, opts.chaos) {
-            Ok(j) => Some(j),
-            Err(e) => {
-                warnings.push(RunWarning {
-                    component: "journal",
-                    message: format!("journal create: {e}; running unjournaled"),
-                });
-                None
-            }
-        },
-        None => None,
-    };
-    if !journaled.is_empty() {
-        telemetry.host_count("journal.replayed_cells", journaled.len() as u64);
-    }
-
     let coords = spec.cells();
     telemetry.count("cells.total", coords.len() as u64);
     if let Some(s) = sink.as_deref_mut() {
@@ -519,9 +484,9 @@ pub(crate) fn execute(
     let mut heartbeat = opts.heartbeat.map(Heartbeat::new);
     for batch in coords.chunks(STREAM_BATCH) {
         let batch_t0 = Instant::now();
-        // Journal and cache lookups first; the parallel fan-out then only
-        // sees undecided cells (in enumeration order, so results align
-        // back by index).
+        // Cache lookups first; the parallel fan-out then only sees
+        // undecided cells (in enumeration order, so results align back by
+        // index).
         let configs: Vec<CellConfig> = batch
             .iter()
             .map(|c| {
@@ -541,25 +506,16 @@ pub(crate) fn execute(
             })
             .collect();
         let mut summaries: Vec<Option<CellSummary>> = vec![None; batch.len()];
-        // Quarantine decisions: (attempts consumed, panic digest).
-        let mut failures: Vec<Option<(u32, String)>> = vec![None; batch.len()];
         let mut keys: Vec<Option<String>> = vec![None; batch.len()];
-        // Journal-replayed decisions are already durable; everything
-        // decided *this* run gets appended.
-        let mut from_journal: Vec<bool> = vec![false; batch.len()];
         for (i, (c, config)) in batch.iter().zip(&configs).enumerate() {
-            if let Some(entry) = journaled.get(&c.index) {
-                from_journal[i] = true;
-                match entry {
-                    CellEntry::Done(summary) => summaries[i] = Some(summary.clone()),
-                    CellEntry::Failed {
-                        attempts,
-                        panic_digest,
-                    } => failures[i] = Some((*attempts, panic_digest.clone())),
-                }
-                continue;
-            }
-            if let Some(cache) = &cache {
+            // A cell the chaos schedule dooms on every attempt is
+            // quarantined whatever the cache holds (a cache warmed
+            // without chaos may have its result), so it is never served:
+            // the quarantine set must not depend on cache temperature.
+            let doomed = opts.chaos.as_ref().is_some_and(|chaos| {
+                (1..=max_attempts).all(|a| chaos.should_panic(c.index as u64, a).is_some())
+            });
+            if let Some(cache) = cache.as_ref().filter(|_| !doomed) {
                 stats.lookups += 1;
                 let key =
                     cache::cell_key(&trace_digests[c.trace], &catalog_digests[c.catalog], config);
@@ -577,7 +533,7 @@ pub(crate) fn execute(
         // cell's enumeration index + attempt number — thread counts and
         // batch shapes can never move an injected fault.
         let mut pending: Vec<usize> = (0..batch.len())
-            .filter(|&i| summaries[i].is_none() && failures[i].is_none())
+            .filter(|&i| summaries[i].is_none())
             .collect();
         let mut computed: Vec<bool> = vec![false; batch.len()];
         let mut last_panic: Vec<Option<String>> = vec![None; batch.len()];
@@ -636,22 +592,21 @@ pub(crate) fn execute(
             }
             pending = still;
         }
+        // Quarantine decisions: (attempts consumed, panic digest).
+        let mut failures: Vec<Option<(u32, String)>> = vec![None; batch.len()];
         for i in pending {
             let message = last_panic[i].take().unwrap_or_default();
             failures[i] = Some((max_attempts, panic_digest(&message)));
         }
 
         for (i, c) in batch.iter().enumerate() {
-            // Persist computed results to the cache (journal hits and
-            // cache hits are already durable there).
+            // Persist computed results to the cache before emitting them
+            // anywhere else: once stored, a kill cannot lose this cell
+            // (cache hits are already durable).
             if computed[i] && cache_writes {
                 if let (Some(cache), Some(key), Some(summary)) = (&cache, &keys[i], &summaries[i]) {
-                    let store = match opts
-                        .chaos
-                        .as_ref()
-                        .and_then(|ch| ch.io_error(STREAM_CACHE_IO, c.index as u64))
-                    {
-                        Some(e) => Err(e),
+                    let store = match opts.chaos.as_ref() {
+                        Some(chaos) => cache.store_cell_chaos(key, summary, chaos, c.index as u64),
                         None => cache.store_cell(key, summary),
                     };
                     if let Err(e) = store {
@@ -663,39 +618,12 @@ pub(crate) fn execute(
                     }
                 }
             }
-            // Journal the decision before emitting it anywhere else: once
-            // appended, a kill cannot lose this cell.
-            if !from_journal[i] {
-                if let Some(j) = journal.as_mut() {
-                    let entry = match (&summaries[i], &failures[i]) {
-                        (Some(summary), _) => CellEntry::Done(summary.clone()),
-                        (None, Some((attempts, digest))) => CellEntry::Failed {
-                            attempts: *attempts,
-                            panic_digest: digest.clone(),
-                        },
-                        (None, None) => unreachable!("every cell is decided by now"),
-                    };
-                    match j.append(c.index, &entry) {
-                        Ok(bytes) => {
-                            telemetry.host_count("journal.bytes_written", bytes as u64);
-                        }
-                        Err(e) => {
-                            warnings.push(RunWarning {
-                                component: "journal",
-                                message: format!("journal write: {e}; journaling disabled"),
-                            });
-                            journal = None;
-                        }
-                    }
-                }
-            }
-
             match (summaries[i].take(), &failures[i]) {
                 (Some(mut summary), _) => {
                     // Engine counters merge in enumeration order from the
-                    // summary — which rides through cache and journal —
-                    // so the totals are byte-identical whether the cell
-                    // was computed, cache-served, or journal-replayed.
+                    // summary — which rides through the cache — so the
+                    // totals are byte-identical whether the cell was
+                    // computed or cache-served.
                     telemetry.count("cells.ok", 1);
                     telemetry.count("engine.reconfigurations", summary.reconfigurations);
                     telemetry.count("engine.nodes_switched_on", summary.nodes_switched_on);
@@ -762,11 +690,10 @@ pub(crate) fn execute(
             }
             if opts.kill_after == Some(emitted) {
                 return Err(format!(
-                    "simulated crash: killed after {emitted} of {} cells (journal durable at {})",
+                    "simulated crash: killed after {emitted} of {} cells (cache at {})",
                     coords.len(),
-                    journal
-                        .as_ref()
-                        .map(|j| j.path().display().to_string())
+                    opts.cache_dir
+                        .map(|d| d.display().to_string())
                         .unwrap_or_else(|| "<none>".into()),
                 ));
             }

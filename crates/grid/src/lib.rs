@@ -78,7 +78,6 @@ pub mod artifact;
 pub mod cache;
 pub mod chaos;
 pub mod executor;
-pub mod journal;
 pub mod json;
 pub mod refine;
 pub mod spec;
@@ -89,7 +88,6 @@ pub use artifact::{render_csv, render_json, render_json_with, write_artifacts, S
 pub use cache::{CacheStats, CellCache, OptEntry};
 pub use chaos::ChaosPolicy;
 pub use executor::{CellRecord, FailedCell, GridOutcome, GridRun, GridRunner, RunWarning};
-pub use journal::{Journal, JOURNAL_NAME};
 pub use refine::{RefineBudget, RefineMeta, RefineOutcome};
 pub use spec::{
     CatalogSpec, CellCoords, GridSpec, GridSpecBuilder, SchedulerDim, TraceSpec, DIMENSIONS,

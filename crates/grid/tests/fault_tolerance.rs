@@ -41,8 +41,20 @@ fn tmp_dir(tag: &str) -> PathBuf {
     d
 }
 
-/// Run the spec into `dir` (streaming sink + journal in the same
-/// directory) and return the artifact JSON bytes.
+/// Cell entries in the cache rooted at `dir` (temp files excluded).
+fn cached_cells(dir: &Path) -> usize {
+    std::fs::read_dir(dir.join("cells")).map_or(0, |entries| {
+        entries
+            .filter(|e| {
+                let name = e.as_ref().unwrap().file_name();
+                !name.to_string_lossy().starts_with(".tmp-")
+            })
+            .count()
+    })
+}
+
+/// Run the spec into `dir` (streaming sink) and return the artifact JSON
+/// bytes.
 fn run_to_dir(
     spec: &GridSpec,
     dir: &Path,
@@ -75,18 +87,30 @@ fn kill_and_resume_artifacts_match_the_cold_run_byte_for_byte() {
             .expect_err("kill_after must abort the run");
             assert!(err.contains("simulated crash"), "{err}");
             assert!(
-                dir.join(bml_grid::JOURNAL_NAME).exists(),
-                "the kill must leave a journal behind"
+                cached_cells(&dir) >= kill_at,
+                "every cell decided before the kill must be cached"
             );
 
-            // Resume: journaled cells replay from disk, the rest compute,
-            // and the streamed artifact is re-rendered from scratch.
-            let (run, json) = run_to_dir(&spec, &dir, threads, |r| r.resume(&dir)).unwrap();
+            // Resume = rerun against the cache: decided cells (and the
+            // optimum solves) are served warm, the rest compute, and the
+            // streamed artifact is re-rendered from scratch.
+            let (run, json) = run_to_dir(&spec, &dir, threads, |r| r.journal_dir(&dir)).unwrap();
             assert_eq!(run.outcome.cells.len(), N_CELLS);
             assert!(run.warnings.is_empty(), "{:?}", run.warnings);
+            let host = &run.telemetry.timings;
+            assert!(host.host_get("cache.cell_hits") >= kill_at as u64);
+            assert_eq!(
+                host.host_get("cache.opt_hits"),
+                host.host_get("cache.opt_lookups")
+            );
             assert_eq!(
                 json, cold_json,
                 "kill at {kill_at}/{N_CELLS}, {threads} threads: resume must be byte-identical"
+            );
+            assert_eq!(
+                cached_cells(&dir),
+                0,
+                "the completed rerun removes the cache"
             );
             std::fs::remove_dir_all(&dir).ok();
         }
@@ -95,28 +119,98 @@ fn kill_and_resume_artifacts_match_the_cold_run_byte_for_byte() {
 }
 
 #[test]
-fn resume_of_a_torn_journal_tail_recovers() {
+fn a_completed_run_removes_its_scratch_cache_so_a_rerun_recomputes() {
     let spec = spec();
-    let clean_dir = tmp_dir("torn_clean");
-    let (_, clean_json) = run_to_dir(&spec, &clean_dir, 2, |r| r).unwrap();
+    let dir = tmp_dir("scratch");
+    let scratch = dir.join("cache");
+    let (first, first_json) = run_to_dir(&spec, &dir, 2, |r| r.journal_dir(&scratch)).unwrap();
+    assert_eq!(first.cache.lookups, N_CELLS as u64);
+    assert!(first.warnings.is_empty(), "{:?}", first.warnings);
+    assert!(
+        !scratch.exists(),
+        "a completed run must remove its scratch cache"
+    );
 
-    // Kill mid-run with torn journal writes firing: some records reach
-    // disk incomplete (simulated power loss). Resume must drop the torn
-    // tail, recompute what it lost, and still match the clean bytes —
-    // torn writes cost work, never correctness.
-    let chaos = ChaosPolicy::new(11).torn_write_prob(0.4);
+    // Cache keys do not cover the simulator's code, so a rerun (say,
+    // after an edit to the engine) must recompute, never replay.
+    let (rerun, json) = run_to_dir(&spec, &dir, 2, |r| r.journal_dir(&scratch)).unwrap();
+    assert_eq!(rerun.cache.hits, 0);
+    assert_eq!(rerun.cache.opt_hits, 0);
+    assert_eq!(json, first_json);
+
+    // A cache directory is the caller's to keep; `journal_dir` then
+    // leaves it alone.
+    let kept = tmp_dir("scratch_kept");
+    run_to_dir(&spec, &dir, 2, |r| r.cache_dir(&kept).journal_dir(&scratch)).unwrap();
+    assert_eq!(cached_cells(&kept), N_CELLS);
+    assert!(!scratch.exists());
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&kept).ok();
+}
+
+#[test]
+fn rerun_after_torn_cache_writes_and_quarantines_matches_the_uninterrupted_run() {
+    const KILL_AT: usize = 13;
+    let spec = spec();
+    // Pick a seed whose schedule quarantines cells on both sides of the
+    // kill (exhausting both attempts) and tears some cache entry written
+    // before it. Chaos decisions are pure functions of the policy, so
+    // the scan is as reproducible as the run itself.
+    let policy = |s: u64| ChaosPolicy::new(s).panic_prob(0.35).torn_write_prob(0.4);
+    let seed = (0..500u64)
+        .find(|&s| {
+            let p = policy(s);
+            let doomed = |c: u64| p.should_panic(c, 1).is_some() && p.should_panic(c, 2).is_some();
+            let kill = KILL_AT as u64;
+            (0..kill).any(doomed)
+                && (kill..N_CELLS as u64).any(doomed)
+                && (0..kill).any(|c| !doomed(c) && p.torn_len(100, c).is_some())
+        })
+        .expect("some seed in range fits the schedule");
+    let chaos = policy(seed);
+
+    let whole_dir = tmp_dir("torn_whole");
+    let (whole, whole_json) = run_to_dir(&spec, &whole_dir, 2, |r| r.chaos(chaos)).unwrap();
+    assert!(!whole.outcome.failed_cells.is_empty());
+
+    // Kill mid-run with torn cache writes firing: some entries keep only
+    // a prefix (simulated power loss). The rerun must miss on them,
+    // recompute, re-decide the quarantines, and still match the
+    // uninterrupted bytes — torn writes cost work, never correctness.
     let dir = tmp_dir("torn");
     let err = run_to_dir(&spec, &dir, 2, |r| {
-        r.journal_dir(&dir).chaos(chaos).kill_after_cells(13)
+        r.journal_dir(&dir).chaos(chaos).kill_after_cells(KILL_AT)
     })
     .expect_err("kill_after must abort the run");
     assert!(err.contains("simulated crash"), "{err}");
+    let stored = cached_cells(&dir);
 
-    let (run, json) = run_to_dir(&spec, &dir, 2, |r| r.resume(&dir).chaos(chaos)).unwrap();
-    assert_eq!(run.outcome.cells.len(), N_CELLS);
-    assert_eq!(json, clean_json);
-    std::fs::remove_dir_all(&clean_dir).ok();
+    let (run, json) = run_to_dir(&spec, &dir, 2, |r| r.journal_dir(&dir).chaos(chaos)).unwrap();
+    assert!(
+        run.cache.hits < stored as u64,
+        "torn entries must miss ({} hits of {stored} stored)",
+        run.cache.hits
+    );
+    assert_eq!(run.outcome.failed_cells, whole.outcome.failed_cells);
+    assert_eq!(
+        run.outcome.cells.len() + run.outcome.failed_cells.len(),
+        N_CELLS
+    );
+    assert_eq!(json, whole_json);
+
+    // A cache warmed without chaos holds every cell, the doomed ones
+    // included. A chaos run against it must still quarantine them: the
+    // quarantine set never depends on cache temperature.
+    let warm_cache = tmp_dir("torn_warm_cache");
+    run_to_dir(&spec, &dir, 2, |r| r.cache_dir(&warm_cache)).unwrap();
+    assert_eq!(cached_cells(&warm_cache), N_CELLS);
+    let (warm, warm_json) =
+        run_to_dir(&spec, &dir, 2, |r| r.cache_dir(&warm_cache).chaos(chaos)).unwrap();
+    assert_eq!(warm.outcome.failed_cells, whole.outcome.failed_cells);
+    assert_eq!(warm_json, whole_json);
+    std::fs::remove_dir_all(&whole_dir).ok();
     std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&warm_cache).ok();
 }
 
 #[test]
@@ -185,21 +279,18 @@ fn io_faults_degrade_to_memory_with_warnings_not_errors() {
     let dir = tmp_dir("io_faults");
     let cache_dir = tmp_dir("io_faults_cache");
     let chaos = ChaosPolicy::new(5).io_error_prob(1.0);
-    let (run, _) = run_to_dir(&spec, &dir, 2, |r| {
-        r.chaos(chaos).cache_dir(&cache_dir).journal_dir(&dir)
-    })
-    .unwrap();
+    let (run, _) = run_to_dir(&spec, &dir, 2, |r| r.chaos(chaos).cache_dir(&cache_dir)).unwrap();
     // Every persistence layer degraded, no cell was lost.
     assert_eq!(run.outcome.cells.len(), N_CELLS);
     let components: Vec<&str> = run.warnings.iter().map(|w| w.component).collect();
-    for c in ["cache", "journal", "sink"] {
+    for c in ["cache", "sink"] {
         assert!(
             components.contains(&c),
             "missing {c} warning: {components:?}"
         );
     }
     // Degradation happens once per component, not once per cell.
-    assert!(run.warnings.len() <= 4, "{:?}", run.warnings);
+    assert!(run.warnings.len() <= 2, "{:?}", run.warnings);
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&cache_dir).ok();
 }
