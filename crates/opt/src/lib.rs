@@ -60,6 +60,7 @@
 #![warn(rust_2018_idioms)]
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::RangeInclusive;
 
 use bml_core::bml::BmlInfrastructure;
 use bml_core::combination::{config_power, SplitPolicy};
@@ -74,7 +75,8 @@ const INF: f64 = f64::INFINITY;
 const EPS: f64 = 1e-9;
 
 /// The forward pass checkpoints its cost vector every this many
-/// segments; backtracking recomputes one window at a time, keeping
+/// segments; backtracking recomputes one window at a time into a single
+/// `CHECKPOINT_EVERY * K` buffer allocated once per solve, keeping
 /// memory at `O(K * (S / 4096 + 4096))` instead of `O(K * S)` (an
 /// 87-day worldcup trace has millions of segments).
 const CHECKPOINT_EVERY: usize = 4096;
@@ -183,6 +185,57 @@ struct Seg {
     load: usize,
 }
 
+/// Scratch space [`Dp::transition`] reuses across boundaries: the count
+/// lattice and one axis's boot and shutdown gap prices.
+struct Lattice {
+    cells: Vec<f64>,
+    up: Vec<f64>,
+    down: Vec<f64>,
+}
+
+impl Lattice {
+    fn new(box_size: usize) -> Self {
+        Lattice {
+            cells: vec![INF; box_size],
+            up: Vec::new(),
+            down: Vec::new(),
+        }
+    }
+}
+
+/// The backtrack's cached price row `trans_cost(·, b, tau)` for one
+/// target state `b`. Inside [`Dp::steady`] the row does not depend on
+/// `tau`, so it is recomputed only when the path's state changes; the
+/// optimal path holds its state across most boundaries.
+struct SteadyRow {
+    b: Option<usize>,
+    row: Vec<f64>,
+}
+
+impl SteadyRow {
+    fn new(k: usize) -> Self {
+        SteadyRow {
+            b: None,
+            row: vec![INF; k],
+        }
+    }
+
+    /// The cached row for target `b` when `tau` is steady; `None` at the
+    /// edges, where callers price each pair with [`Dp::trans_cost`].
+    fn get(&mut self, dp: &Dp<'_>, b: usize, tau: u64) -> Option<&[f64]> {
+        if !dp.steady.contains(&tau) {
+            return None;
+        }
+        if self.b != Some(b) {
+            for (a, price) in self.row.iter_mut().enumerate() {
+                *price = dp.trans_cost(a, b, tau);
+            }
+            self.b = Some(b);
+        }
+        Some(&self.row)
+    }
+}
+
 /// The assembled DP instance.
 struct Dp<'a> {
     profiles: &'a [ArchProfile],
@@ -193,13 +246,18 @@ struct Dp<'a> {
     /// load, `INF` when the state's capacity cannot cover it.
     serve: Vec<f64>,
     costs: Vec<ArchCost>,
-    /// Sorted distinct per-architecture counts across all states: the
-    /// axes of the count lattice the distance transform sweeps.
-    axes: Vec<Vec<u32>>,
+    /// Per axis of the count lattice (the sorted distinct counts of one
+    /// architecture across all states), the count step between each pair
+    /// of neighbouring positions: `axis[j + 1] - axis[j]`.
+    gaps: Vec<Vec<f64>>,
     strides: Vec<usize>,
     box_size: usize,
     /// Lattice cell of each state.
     cell_of: Vec<usize>,
+    /// Boundaries at which no transition price depends on `tau`: every
+    /// boot can mature (`tau >= max lead`) and every shutdown ramp ends
+    /// before the horizon (`horizon - tau >= max off_ceil`).
+    steady: RangeInclusive<u64>,
     beam: Option<usize>,
     /// Running count of beam-pruned states (interior mutability because
     /// pruning happens under `&self`); the forward-pass snapshot is what
@@ -303,15 +361,23 @@ impl<'a> Dp<'a> {
                     .sum()
             })
             .collect();
+        let gaps = axes
+            .iter()
+            .map(|axis| axis.windows(2).map(|w| f64::from(w[1] - w[0])).collect())
+            .collect();
 
+        let horizon = trace.len();
+        let max_lead = costs.iter().map(|c| c.lead).max().unwrap_or(0);
+        let max_off_ceil = costs.iter().map(|c| c.off_ceil).max().unwrap_or(0);
         Dp {
             profiles,
-            horizon: trace.len(),
+            horizon,
             segs,
             states,
             serve,
+            steady: max_lead..=horizon.saturating_sub(max_off_ceil),
             costs,
-            axes,
+            gaps,
             strides,
             box_size,
             cell_of,
@@ -371,56 +437,69 @@ impl<'a> Dp<'a> {
     /// lattice (transition costs are separable per architecture; an
     /// up-then-down detour is never cheaper than the direct move, so the
     /// two sweeps per axis relax every pair).
-    fn transition(&self, dp: &[f64], tau: u64, buf: &mut [f64], out: &mut [f64]) {
-        buf.fill(INF);
+    ///
+    /// Each axis is walked as `for block, for lane, for j`: one lane is a
+    /// chain of cells that differ only in this axis's count, relaxed
+    /// upward (boots) and then downward (shutdowns) with the running
+    /// value carried along `j`. Lanes are independent and each chain
+    /// keeps its `j` order, so every float operation matches a flat
+    /// sweep over the lattice. The axis's gap prices are computed once
+    /// per boundary; an immature boot is priced `INF`, which never wins
+    /// a comparison.
+    fn transition(&self, dp: &[f64], tau: u64, lat: &mut Lattice, out: &mut [f64]) {
+        let Lattice { cells, up, down } = lat;
+        cells.fill(INF);
         for (s, &cell) in self.cell_of.iter().enumerate() {
-            buf[cell] = dp[s];
+            cells[cell] = dp[s];
         }
-        for (arch, axis) in self.axes.iter().enumerate() {
-            let m = axis.len();
-            if m == 1 {
+        for ((gaps, &stride), cost) in self.gaps.iter().zip(&self.strides).zip(&self.costs) {
+            if gaps.is_empty() {
                 continue;
             }
-            let stride = self.strides[arch];
-            if self.costs[arch].lead <= tau {
-                let rate = self.costs[arch].on_cost;
-                for idx in 0..self.box_size {
-                    let j = (idx / stride) % m;
-                    if j > 0 {
-                        let cand = buf[idx - stride] + rate * f64::from(axis[j] - axis[j - 1]);
-                        if cand < buf[idx] {
-                            buf[idx] = cand;
-                        }
+            let on_unit = if cost.lead <= tau { cost.on_cost } else { INF };
+            let off_unit = cost.off_cost(self.horizon - tau);
+            up.clear();
+            up.extend(gaps.iter().map(|&g| on_unit * g));
+            down.clear();
+            down.extend(gaps.iter().map(|&g| off_unit * g));
+            let top = gaps.len() * stride;
+            for block in cells.chunks_exact_mut(top + stride) {
+                for lane in 0..stride {
+                    let mut run = block[lane];
+                    let mut idx = lane;
+                    for &price in up.iter() {
+                        idx += stride;
+                        let (cand, cur) = (run + price, block[idx]);
+                        run = if cand < cur { cand } else { cur };
+                        block[idx] = run;
                     }
-                }
-            }
-            let off_unit = self.costs[arch].off_cost(self.horizon - tau);
-            for idx in (0..self.box_size).rev() {
-                let j = (idx / stride) % m;
-                if j + 1 < m {
-                    let cand = buf[idx + stride] + off_unit * f64::from(axis[j + 1] - axis[j]);
-                    if cand < buf[idx] {
-                        buf[idx] = cand;
+                    for &price in down.iter().rev() {
+                        idx -= stride;
+                        let (cand, cur) = (run + price, block[idx]);
+                        run = if cand < cur { cand } else { cur };
+                        block[idx] = run;
                     }
                 }
             }
         }
         for (s, &cell) in self.cell_of.iter().enumerate() {
-            out[s] = buf[cell];
+            out[s] = cells[cell];
         }
     }
 
-    /// One forward step: prune (beam), transition over the boundary into
-    /// segment `i + 1`, add its serving energy. `dp` becomes the cost
-    /// vector through segment `i + 1`.
-    fn step(&self, dp: &mut Vec<f64>, i: usize, buf: &mut [f64], out: &mut Vec<f64>) {
+    /// One forward step: prune (beam) `dp`, the cost vector through
+    /// segment `i`, then transition over the boundary into segment
+    /// `i + 1` and add its serving energy, writing the cost vector
+    /// through segment `i + 1` to `next`.
+    fn step(&self, dp: &mut [f64], i: usize, lat: &mut Lattice, next: &mut [f64]) {
         self.prune(dp);
-        let tau = self.segs[i + 1].start;
-        self.transition(dp, tau, buf, out);
-        for (s, v) in out.iter_mut().enumerate() {
-            *v += self.serve_energy(i + 1, s);
+        let seg = self.segs[i + 1];
+        self.transition(dp, seg.start, lat, next);
+        let k = self.k();
+        let len = seg.len as f64;
+        for (v, &w) in next.iter_mut().zip(&self.serve[seg.load * k..][..k]) {
+            *v += w * len;
         }
-        std::mem::swap(dp, out);
     }
 
     /// Forward pass + windowed backtrack. Returns the optimal state per
@@ -430,13 +509,15 @@ impl<'a> Dp<'a> {
         let k = self.k();
         let s_count = self.segs.len();
         let mut dp: Vec<f64> = (0..k).map(|s| self.serve_energy(0, s)).collect();
-        let mut buf = vec![INF; self.box_size];
-        let mut out = vec![INF; k];
-        let mut checkpoints: Vec<Vec<f64>> = vec![dp.clone()];
+        let mut lat = Lattice::new(self.box_size);
+        let mut next = vec![INF; k];
+        // Row `c` holds the cost vector through segment `c * CHECKPOINT_EVERY`.
+        let mut checkpoints = dp.clone();
         for i in 0..s_count - 1 {
-            self.step(&mut dp, i, &mut buf, &mut out);
+            self.step(&mut dp, i, &mut lat, &mut next);
+            std::mem::swap(&mut dp, &mut next);
             if (i + 1) % CHECKPOINT_EVERY == 0 {
-                checkpoints.push(dp.clone());
+                checkpoints.extend_from_slice(&dp);
             }
         }
         let forward_pruned = self.pruned.get();
@@ -453,29 +534,36 @@ impl<'a> Dp<'a> {
 
         let mut path = vec![0usize; s_count];
         path[s_count - 1] = best_s;
+        let mut window = vec![INF; CHECKPOINT_EVERY.min(s_count - 1) * k];
+        let mut prices = SteadyRow::new(k);
         let mut hi = s_count - 1;
         while hi > 0 {
             let c = (hi - 1) / CHECKPOINT_EVERY;
             let w0 = c * CHECKPOINT_EVERY;
-            // Recompute dp_{w0}..dp_{hi-1} from the window's checkpoint.
-            let mut dps: Vec<Vec<f64>> = Vec::with_capacity(hi - w0);
-            let mut cur = checkpoints[c].clone();
-            dps.push(cur.clone());
-            for i in w0..hi - 1 {
-                self.step(&mut cur, i, &mut buf, &mut out);
-                dps.push(cur.clone());
+            // Recompute dp_{w0}..dp_{hi-1} from the window's checkpoint;
+            // row `r` of the window holds dp_{w0 + r}.
+            let rows = &mut window[..(hi - w0) * k];
+            rows[..k].copy_from_slice(&checkpoints[c * k..][..k]);
+            for r in 0..hi - 1 - w0 {
+                let (done, rest) = rows.split_at_mut((r + 1) * k);
+                self.step(&mut done[r * k..], w0 + r, &mut lat, &mut rest[..k]);
             }
             for i in (w0..hi).rev() {
-                let dp_i = &mut dps[i - w0];
+                let dp_i = &mut rows[(i - w0) * k..][..k];
                 self.prune(dp_i); // the same beam the forward transition saw
                 let b = path[i + 1];
                 let tau = self.segs[i + 1].start;
+                let row = prices.get(self, b, tau);
                 let (mut best_a, mut best_c) = (usize::MAX, INF);
                 for (a, &v) in dp_i.iter().enumerate() {
                     if !v.is_finite() {
                         continue;
                     }
-                    let cost = v + self.trans_cost(a, b, tau);
+                    let price = match row {
+                        Some(row) => row[a],
+                        None => self.trans_cost(a, b, tau),
+                    };
+                    let cost = v + price;
                     if cost < best_c {
                         best_c = cost;
                         best_a = a;
@@ -800,20 +888,28 @@ mod tests {
         assert!(s.energy_j < w_idle * 1000.0 + w_serve * 1000.0);
     }
 
-    #[test]
-    fn lattice_transition_matches_naive_min_plus() {
-        let bml = bml();
-        // A trace whose distinct loads span several combinations.
+    /// A DP whose distinct loads span several combinations.
+    fn step_dp(bml: &BmlInfrastructure) -> Dp<'_> {
         let mut rates = Vec::new();
         for &v in &[0.0, 10.0, 50.0, 529.0, 1500.0, 4000.0, 300.0] {
             rates.extend(vec![v; 60]);
         }
-        let trace = LoadTrace::new(0, rates);
-        let dp = Dp::build(&trace, &bml, greedy(), &OptOptions::default());
+        Dp::build(
+            &LoadTrace::new(0, rates),
+            bml,
+            greedy(),
+            &OptOptions::default(),
+        )
+    }
+
+    #[test]
+    fn lattice_transition_matches_naive_min_plus() {
+        let bml = bml();
+        let dp = step_dp(&bml);
         let k = dp.k();
         assert!(k >= 5, "want a non-trivial state space, got {k}");
         // Deterministic pseudo-random dp vector.
-        let dp_in: Vec<f64> = (0..k)
+        let mixed: Vec<f64> = (0..k)
             .map(|s| {
                 if s % 7 == 3 {
                     INF
@@ -822,20 +918,73 @@ mod tests {
                 }
             })
             .collect();
-        let mut buf = vec![INF; dp.box_size];
+        // Only all-off reachable: every finite output is a pure boot.
+        let all_off = dp.states.iter().position(|s| s.iter().all(|&c| c == 0));
+        let dark: Vec<f64> = (0..k)
+            .map(|s| if Some(s) == all_off { 500.0 } else { INF })
+            .collect();
+        let h = dp.horizon;
+        let off_ceil = dp.costs.iter().map(|c| c.off_ceil).max().unwrap();
+        let taus = [
+            1u64,
+            12,
+            16,
+            189,
+            200,
+            h - off_ceil - 1,
+            h - off_ceil,
+            h - 5,
+            h - 1,
+        ];
+        let mut lat = Lattice::new(dp.box_size);
         let mut out = vec![INF; k];
-        for &tau in &[1u64, 12, 16, 189, 200, dp.horizon - 5] {
-            dp.transition(&dp_in, tau, &mut buf, &mut out);
-            for (b, &got) in out.iter().enumerate() {
-                let naive = (0..k)
-                    .map(|a| dp_in[a] + dp.trans_cost(a, b, tau))
-                    .fold(INF, f64::min);
-                assert!(
-                    (got - naive).abs() <= 1e-9 * naive.abs().max(1.0) || (got == naive),
-                    "tau={tau} b={b}: lattice {got} vs naive {naive}"
-                );
+        for dp_in in [&mixed, &dark] {
+            for &tau in &taus {
+                dp.transition(dp_in, tau, &mut lat, &mut out);
+                for (b, &got) in out.iter().enumerate() {
+                    let naive = (0..k)
+                        .map(|a| dp_in[a] + dp.trans_cost(a, b, tau))
+                        .fold(INF, f64::min);
+                    assert!(
+                        (got - naive).abs() <= 1e-9 * naive.abs().max(1.0) || (got == naive),
+                        "tau={tau} b={b}: lattice {got} vs naive {naive}"
+                    );
+                }
             }
         }
+    }
+
+    #[test]
+    fn steady_row_is_trans_cost_and_falls_back_at_the_edges() {
+        let bml = bml();
+        let dp = step_dp(&bml);
+        let k = dp.k();
+        // Paravance's 189 s boot and the Chromebook's 21 s shutdown set
+        // the edges.
+        let (lo, hi) = (*dp.steady.start(), *dp.steady.end());
+        assert_eq!((lo, hi), (189, dp.horizon - 21));
+        let mut row = SteadyRow::new(k);
+        for b in 0..k {
+            for tau in [lo, lo + 1, (lo + hi) / 2, hi] {
+                let got = row.get(&dp, b, tau).expect("tau is steady").to_vec();
+                for (a, price) in got.iter().enumerate() {
+                    assert_eq!(
+                        price.to_bits(),
+                        dp.trans_cost(a, b, tau).to_bits(),
+                        "a={a} b={b} tau={tau}"
+                    );
+                }
+            }
+            for tau in [lo - 1, hi + 1] {
+                assert!(row.get(&dp, b, tau).is_none(), "b={b} tau={tau}");
+            }
+        }
+        // The fallback is needed: one second outside the range on either
+        // side, some price differs from the steady one.
+        let differs = |tau| {
+            (0..k).any(|b| (0..k).any(|a| dp.trans_cost(a, b, tau) != dp.trans_cost(a, b, lo)))
+        };
+        assert!(differs(lo - 1) && differs(hi + 1));
     }
 
     #[test]
@@ -887,6 +1036,46 @@ mod tests {
             extra_states: vec![],
         };
         assert!(solve(&trace, &bml, greedy(), &opts).is_none());
+    }
+
+    /// FNV-1a over every record's `at` and target counts, in order.
+    fn schedule_digest(schedule: &[ReconfigRecord]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for r in schedule {
+            let words = std::iter::once(r.at).chain(r.target.iter().map(|&c| u64::from(c)));
+            for byte in words.flat_map(u64::to_le_bytes) {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Bit-identity pin for the solver: a 13,000 s slice of the 2-day
+    /// tournament trace from 17:40 on day 2. Its 12,975 segments span four
+    /// checkpoint windows, and boundaries fall inside both price edges
+    /// (before the 189 s boot lead and within 21 s of the horizon). Any
+    /// change to the DP's float operations, tie-breaking or checkpoint
+    /// recomputation moves the pinned values.
+    #[test]
+    fn golden_tournament_slice() {
+        let bml = bml();
+        let full = bml_trace::registry::generate("worldcup-tournament", 2, 1998).unwrap();
+        let trace = LoadTrace::new(full.first_day, full.rates[150_000..163_000].to_vec());
+        let dp = Dp::build(&trace, &bml, greedy(), &OptOptions::default());
+        assert!(dp.segs[1].start < *dp.steady.start());
+        assert!(dp.segs[dp.segs.len() - 1].start > *dp.steady.end());
+        let s = solve(&trace, &bml, greedy(), &OptOptions::default()).unwrap();
+        assert_eq!((s.n_states, s.n_segments), (35, 12_975));
+        assert!(s.n_segments > 3 * CHECKPOINT_EVERY);
+        assert_eq!(
+            s.energy_j.to_bits(),
+            0x414a_b0df_ef84_49c3,
+            "{}",
+            s.energy_j
+        );
+        assert_eq!(s.initial, vec![2, 0, 0]);
+        assert_eq!(s.schedule.len(), 303);
+        assert_eq!(schedule_digest(&s.schedule), 0x45e1_c26c_f46f_f815);
     }
 
     proptest! {
