@@ -71,7 +71,9 @@ fn main() {
         opt_sched.n_segments,
         opt_sched.n_states,
     );
-    let optimality_gap = (c.bml.total_energy_j - opt_sched.energy_j) / opt_sched.energy_j;
+    // NaN (`null` in the JSON) when the optimum is zero.
+    let optimality_gap =
+        bml_sim::optimality_gap(c.bml.total_energy_j, opt_sched.energy_j).unwrap_or(f64::NAN);
     // Four scenarios replay the trace, so the engine throughput CI tracks
     // is total simulated seconds across scenarios per wall-clock second.
     let sim_seconds = trace.len();

@@ -57,9 +57,6 @@
 //! "streamed file == in-memory render" a structural identity rather than
 //! a test hope (the test pins it anyway).
 
-use std::io;
-use std::path::{Path, PathBuf};
-
 use crate::aggregate::{pareto_frontier, per_dimension_bests};
 use crate::executor::{CellRecord, FailedCell, GridOutcome};
 use crate::json::Object;
@@ -283,20 +280,6 @@ pub fn render_csv(out: &GridOutcome) -> String {
     s
 }
 
-/// Write both artifacts into `dir` (created if missing); returns the two
-/// paths (JSON, CSV). The JSON gets a trailing newline, like every other
-/// `BENCH_*.json` this repo emits. This is the one-shot path; long runs
-/// stream instead (see [`crate::stream::StreamingArtifactWriter`], which
-/// produces the same bytes incrementally).
-pub fn write_artifacts(out: &GridOutcome, dir: &Path) -> io::Result<(PathBuf, PathBuf)> {
-    std::fs::create_dir_all(dir)?;
-    let json_path = dir.join(JSON_NAME);
-    let csv_path = dir.join(CSV_NAME);
-    std::fs::write(&json_path, render_json(out) + "\n")?;
-    std::fs::write(&csv_path, render_csv(out))?;
-    Ok((json_path, csv_path))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -494,16 +477,5 @@ mod tests {
         let j = render_json(&out);
         let expected = format!("\"seed\":\"{}\"", out.cells[0].coords.seed);
         assert!(j.contains(&expected), "{j}");
-    }
-
-    #[test]
-    fn artifacts_write_to_directory() {
-        let out = outcome();
-        let dir = std::env::temp_dir().join("bml_grid_artifact_test");
-        let (j, c) = write_artifacts(&out, &dir).unwrap();
-        let bytes = std::fs::read_to_string(&j).unwrap();
-        assert_eq!(bytes, render_json(&out) + "\n");
-        assert_eq!(std::fs::read_to_string(&c).unwrap(), render_csv(&out));
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

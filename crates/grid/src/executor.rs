@@ -70,7 +70,7 @@ use std::time::{Duration, Instant};
 use bml_core::scheduler::paper_window_length;
 use bml_obs::{Heartbeat, Recorder};
 use bml_sim::exec::{run_cells_checked, CellConfig, CellJob};
-use bml_sim::{CellSummary, SimConfig};
+use bml_sim::{optimality_gap, CellSummary, SimConfig};
 
 use crate::cache::{self, CacheStats, CellCache, OptEntry};
 use crate::chaos::{panic_digest, ChaosPolicy, STREAM_SINK_IO};
@@ -635,11 +635,7 @@ pub(crate) fn execute(
                     telemetry.count("engine.fallback_unsegmented", summary.fallback_unsegmented);
                     let optimal = optima[&(c.trace, c.catalog, c.split)];
                     summary.optimal_energy_j = Some(optimal);
-                    summary.optimality_gap = if optimal > 0.0 {
-                        Some((summary.total_energy_j - optimal) / optimal)
-                    } else {
-                        None
-                    };
+                    summary.optimality_gap = optimality_gap(summary.total_energy_j, optimal);
                     let record = CellRecord {
                         labels: spec.cell_labels(c),
                         coords: *c,

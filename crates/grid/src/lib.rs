@@ -33,12 +33,12 @@
 //!
 //! Completed cells flow through the aggregator (per-dimension bests +
 //! the energy-vs-QoS Pareto frontier) into the versioned
-//! `BENCH_grid.json` and `BENCH_grid.csv` — streamed incrementally by the
-//! [`StreamingArtifactWriter`] or written at once by
-//! [`artifact::write_artifacts`]; both produce the same bytes. Repeat
-//! cells are served from the [`cache`] (keyed on *content*: trace bits,
-//! catalog constants, cell knobs, RNG keying and schema versions — never
-//! thread counts or hosts), and [`GridRunner::refine`] replaces
+//! `BENCH_grid.json` and `BENCH_grid.csv`, streamed incrementally by the
+//! [`StreamingArtifactWriter`] in the same bytes [`render_json`] and
+//! [`render_csv`] produce in memory. Repeat cells are served from the
+//! [`cache`] (keyed on *content*: trace bits, catalog constants, cell
+//! knobs, RNG keying and schema versions — never thread counts or
+//! hosts), and [`GridRunner::refine`] replaces
 //! exhaustive sweeps with Pareto-guided bisection of the numeric
 //! dimensions (see [`refine`]).
 //!
@@ -84,7 +84,7 @@ pub mod spec;
 pub mod stream;
 
 pub use aggregate::{pareto_frontier, per_dimension_bests, DimensionBest};
-pub use artifact::{render_csv, render_json, render_json_with, write_artifacts, SCHEMA};
+pub use artifact::{render_csv, render_json, render_json_with, SCHEMA};
 pub use cache::{CacheStats, CellCache, OptEntry};
 pub use chaos::ChaosPolicy;
 pub use executor::{CellRecord, FailedCell, GridOutcome, GridRun, GridRunner, RunWarning};

@@ -1,8 +1,8 @@
 //! Streaming artifact emission.
 //!
-//! `write_artifacts` assembles the whole document in memory and writes it
-//! at the end — fine at 144 cells, hostile at 10k+: a crash loses
-//! everything and memory holds every rendered row. A [`CellSink`]
+//! Assembling the whole document in memory and writing it at the end is
+//! fine at 144 cells, hostile at 10k+: a crash loses everything and
+//! memory holds every rendered row. A [`CellSink`]
 //! receives cells **as they complete, in enumeration order**, so the
 //! [`StreamingArtifactWriter`] appends each record to `BENCH_grid.json` /
 //! `BENCH_grid.csv` incrementally and only the aggregate epilogue waits

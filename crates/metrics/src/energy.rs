@@ -1,5 +1,5 @@
-//! Energy accounting: integrating per-second power samples into energies,
-//! per-day aggregation (the Fig. 5 unit) and unit conversions.
+//! Energy accounting: a running meter with per-day aggregation (the
+//! Fig. 5 unit), overhead statistics and unit conversions.
 
 /// Seconds per day.
 pub const SECONDS_PER_DAY: u64 = 86_400;
@@ -10,27 +10,6 @@ pub const JOULES_PER_KWH: f64 = 3_600_000.0;
 /// Convert Joules to kWh.
 pub fn joules_to_kwh(j: f64) -> f64 {
     j / JOULES_PER_KWH
-}
-
-/// Convert kWh to Joules.
-pub fn kwh_to_joules(kwh: f64) -> f64 {
-    kwh * JOULES_PER_KWH
-}
-
-/// Integrate per-second power samples (W) into energy (J). Each sample
-/// holds for one second — the paper's simulation granularity — so the
-/// integral is a plain sum.
-pub fn integrate_power(samples_w: &[f64]) -> f64 {
-    samples_w.iter().sum()
-}
-
-/// Per-day energies (J) from per-second power samples; the final partial
-/// day (if any) is included.
-pub fn daily_energy(samples_w: &[f64]) -> Vec<f64> {
-    samples_w
-        .chunks(SECONDS_PER_DAY as usize)
-        .map(|day| day.iter().sum())
-        .collect()
 }
 
 /// Running energy meter: feed it power samples, read total/interval
@@ -93,11 +72,6 @@ impl EnergyMeter {
     /// Total energy recorded (J).
     pub fn total_joules(&self) -> f64 {
         self.total_j
-    }
-
-    /// Total energy in kWh.
-    pub fn total_kwh(&self) -> f64 {
-        joules_to_kwh(self.total_j)
     }
 
     /// Per-day energies (J).
@@ -180,22 +154,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn integration_is_sum() {
-        assert_eq!(integrate_power(&[1.0, 2.0, 3.0]), 6.0);
-        assert_eq!(integrate_power(&[]), 0.0);
-    }
-
-    #[test]
-    fn daily_split() {
-        let mut samples = vec![1.0; SECONDS_PER_DAY as usize];
-        samples.extend(vec![2.0; 100]);
-        let days = daily_energy(&samples);
-        assert_eq!(days.len(), 2);
-        assert_eq!(days[0], SECONDS_PER_DAY as f64);
-        assert_eq!(days[1], 200.0);
-    }
-
-    #[test]
     fn meter_accumulates() {
         let mut m = EnergyMeter::new();
         for _ in 0..10 {
@@ -272,14 +230,12 @@ mod tests {
     fn meter_empty() {
         let m = EnergyMeter::new();
         assert_eq!(m.mean_power(), 0.0);
-        assert_eq!(m.total_kwh(), 0.0);
     }
 
     #[test]
     fn unit_conversions() {
         assert_eq!(joules_to_kwh(3_600_000.0), 1.0);
-        assert_eq!(kwh_to_joules(2.0), 7_200_000.0);
-        assert!((kwh_to_joules(joules_to_kwh(1234.5)) - 1234.5).abs() < 1e-9);
+        assert_eq!(joules_to_kwh(7_200_000.0), 2.0);
     }
 
     #[test]

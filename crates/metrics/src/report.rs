@@ -1,5 +1,5 @@
-//! Report emitters: aligned text tables, CSV, and paper-vs-measured
-//! experiment records used by the per-figure binaries and EXPERIMENTS.md.
+//! Report emitters: aligned text tables, CSV and percentage formatting
+//! used by the per-figure binaries.
 
 /// A simple column-aligned text table (monospace output for terminals and
 /// markdown code blocks).
@@ -83,82 +83,6 @@ impl Table {
     }
 }
 
-/// One paper-vs-measured record, the unit of EXPERIMENTS.md.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExperimentRecord {
-    /// Experiment id, e.g. `"fig5"` or `"table1"`.
-    pub id: String,
-    /// What is being compared, e.g. `"BML mean overhead vs lower bound"`.
-    pub quantity: String,
-    /// The value the paper reports (as printed in the paper).
-    pub paper: String,
-    /// The value this reproduction measures.
-    pub measured: String,
-    /// Whether the reproduction preserves the paper's qualitative claim.
-    pub holds: bool,
-}
-
-impl ExperimentRecord {
-    /// Convenience constructor.
-    pub fn new(
-        id: &str,
-        quantity: &str,
-        paper: impl ToString,
-        measured: impl ToString,
-        holds: bool,
-    ) -> Self {
-        ExperimentRecord {
-            id: id.into(),
-            quantity: quantity.into(),
-            paper: paper.to_string(),
-            measured: measured.to_string(),
-            holds,
-        }
-    }
-
-    /// Markdown table row (`| id | quantity | paper | measured | ok |`).
-    pub fn markdown_row(&self) -> String {
-        format!(
-            "| {} | {} | {} | {} | {} |",
-            self.id,
-            self.quantity,
-            self.paper,
-            self.measured,
-            if self.holds { "yes" } else { "NO" }
-        )
-    }
-}
-
-/// Render a full markdown table of records.
-pub fn markdown_table(records: &[ExperimentRecord]) -> String {
-    let mut out = String::from(
-        "| experiment | quantity | paper | measured | holds |\n|---|---|---|---|---|\n",
-    );
-    for r in records {
-        out.push_str(&r.markdown_row());
-        out.push('\n');
-    }
-    out
-}
-
-/// Format Watts with two decimals (e.g. `"200.50 W"`).
-pub fn fmt_watts(w: f64) -> String {
-    format!("{w:.2} W")
-}
-
-/// Format Joules adaptively (J / kJ / MJ / kWh for large values).
-pub fn fmt_energy(j: f64) -> String {
-    if j.abs() >= 3_600_000.0 {
-        format!("{:.2} kWh", j / 3_600_000.0)
-    } else if j.abs() >= 1_000_000.0 {
-        format!("{:.2} MJ", j / 1_000_000.0)
-    } else if j.abs() >= 1_000.0 {
-        format!("{:.2} kJ", j / 1_000.0)
-    } else {
-        format!("{j:.1} J")
-    }
-}
-
 /// Format a percentage with one decimal.
 pub fn fmt_percent(p: f64) -> String {
     format!("{p:+.1}%")
@@ -200,29 +124,7 @@ mod tests {
     }
 
     #[test]
-    fn experiment_record_markdown() {
-        let r = ExperimentRecord::new("fig5", "mean overhead", "+32%", "+29.4%", true);
-        let row = r.markdown_row();
-        assert!(row.contains("| fig5 |"));
-        assert!(row.contains("| yes |"));
-        let r2 = ExperimentRecord::new("x", "q", 1, 2, false);
-        assert!(r2.markdown_row().contains("| NO |"));
-    }
-
-    #[test]
-    fn markdown_table_has_header_and_rows() {
-        let t = markdown_table(&[ExperimentRecord::new("a", "b", "c", "d", true)]);
-        assert_eq!(t.lines().count(), 3);
-        assert!(t.starts_with("| experiment |"));
-    }
-
-    #[test]
     fn formatting_helpers() {
-        assert_eq!(fmt_watts(200.5), "200.50 W");
-        assert_eq!(fmt_energy(500.0), "500.0 J");
-        assert_eq!(fmt_energy(2_500.0), "2.50 kJ");
-        assert_eq!(fmt_energy(1_500_000.0), "1.50 MJ");
-        assert_eq!(fmt_energy(7_200_000.0), "2.00 kWh");
         assert_eq!(fmt_percent(32.0), "+32.0%");
         assert_eq!(fmt_percent(-6.8), "-6.8%");
     }

@@ -94,15 +94,6 @@ impl Malleability {
         }
     }
 
-    /// A rigid single-instance application.
-    pub fn single_instance() -> Self {
-        Malleability {
-            distributable: false,
-            min_instances: 1,
-            max_instances: 1,
-        }
-    }
-
     /// Is `n` instances a permitted deployment?
     pub fn allows(&self, n: u32) -> bool {
         if n == 0 {
@@ -181,12 +172,6 @@ impl ApplicationSpec {
             multi_arch: true,
         }
     }
-
-    /// `true` when the application can be deployed on a BML infrastructure
-    /// at all (needs multi-architecture support and distribution).
-    pub fn bml_compatible(&self) -> bool {
-        self.multi_arch && self.malleability.distributable
-    }
 }
 
 #[cfg(test)]
@@ -196,20 +181,10 @@ mod tests {
     #[test]
     fn web_server_spec_is_bml_compatible() {
         let s = ApplicationSpec::stateless_web_server();
-        assert!(s.bml_compatible());
+        assert!(s.multi_arch && s.malleability.distributable);
         assert_eq!(s.metric.unit, "req/s");
         assert!(s.malleability.allows(1));
         assert!(s.malleability.allows(500));
-    }
-
-    #[test]
-    fn rigid_app_not_bml_compatible() {
-        let mut s = ApplicationSpec::stateless_web_server();
-        s.malleability = Malleability::single_instance();
-        assert!(!s.bml_compatible());
-        assert!(s.malleability.allows(1));
-        assert!(!s.malleability.allows(2));
-        assert!(!s.malleability.allows(0));
     }
 
     #[test]

@@ -419,6 +419,13 @@ pub struct ScenarioResult {
     pub optimality_gap: Option<f64>,
 }
 
+/// Relative optimality gap `(energy_j - optimal_j) / optimal_j` of a run
+/// against the offline optimum; `None` when the optimum is zero (an
+/// all-idle trace has nothing to be proportional to).
+pub fn optimality_gap(energy_j: f64, optimal_j: f64) -> Option<f64> {
+    (optimal_j > 0.0).then(|| (energy_j - optimal_j) / optimal_j)
+}
+
 /// The compact per-cell summary an experiment-grid aggregator consumes:
 /// every scalar of [`ScenarioResult`] and nothing that grows with the run
 /// (no per-day vectors, no reconfiguration log) — hundreds of grid cells
@@ -482,19 +489,6 @@ impl ScenarioResult {
             optimal_energy_j: self.optimal_energy_j,
             optimality_gap: self.optimality_gap,
         }
-    }
-
-    /// Attach an offline-optimal reference energy: sets
-    /// `optimal_energy_j` and derives `optimality_gap` relative to it
-    /// (`None` gap when the optimum is zero — an all-idle trace has
-    /// nothing to be proportional to).
-    pub fn attach_optimal(&mut self, optimal_energy_j: f64) {
-        self.optimal_energy_j = Some(optimal_energy_j);
-        self.optimality_gap = if optimal_energy_j > 0.0 {
-            Some((self.total_energy_j - optimal_energy_j) / optimal_energy_j)
-        } else {
-            None
-        };
     }
 
     /// Check that `other` is a replay-equivalent result of the same
@@ -1321,5 +1315,15 @@ mod tests {
         let (w, _) = b.config_power(&counts, 40.0, SplitPolicy::EfficiencyGreedy);
         assert!((r.daily_energy_j[0] - w * bml_trace::SECONDS_PER_DAY as f64).abs() < 1e-3);
         assert!((r.daily_energy_j[1] - w * 600.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn optimality_gap_is_none_at_a_zero_optimum() {
+        assert_eq!(optimality_gap(0.0, 0.0), None);
+        assert_eq!(optimality_gap(5.0, 0.0), None);
+        for (e, opt) in [(132.0, 100.0), (90.0, 100.0), (1.0e7 / 3.0, 2.9e6)] {
+            let gap = optimality_gap(e, opt).unwrap();
+            assert_eq!(gap.to_bits(), ((e - opt) / opt).to_bits());
+        }
     }
 }

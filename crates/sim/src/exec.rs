@@ -5,7 +5,7 @@
 //! to the same unit of work: *run the BML pro-active scenario once under a
 //! specific knob setting*. This module is the single implementation of
 //! that unit ([`run_cell`]) plus the one parallel fan-out everything
-//! shares ([`run_cells`]).
+//! shares ([`run_cells_checked`], which [`run_cells`] unwraps).
 //!
 //! Determinism contract: [`run_cells`] preserves input order (the rayon
 //! parallel map deposits each result in its input's slot — the vendored
@@ -146,21 +146,14 @@ pub fn run_cell(trace: &LoadTrace, bml: &BmlInfrastructure, cell: &CellConfig) -
 ///
 /// `threads` caps the worker count (`None` = rayon's default). The cap
 /// only changes wall-clock time, never results: output order is the input
-/// order and cells share no mutable state.
+/// order and cells share no mutable state. A panicking cell panics the
+/// whole batch: once every cell has run, the first panic in input order
+/// is resumed with its message.
 pub fn run_cells(jobs: &[CellJob<'_>], threads: Option<usize>) -> Vec<ScenarioResult> {
-    let run = || {
-        jobs.par_iter()
-            .map(|j| run_cell(j.trace, j.bml, &j.cell))
-            .collect()
-    };
-    match threads {
-        Some(n) => rayon::ThreadPoolBuilder::new()
-            .num_threads(n.max(1))
-            .build()
-            .expect("thread pool construction cannot fail")
-            .install(run),
-        None => run(),
-    }
+    run_cells_checked(jobs, threads, None)
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|p| std::panic::resume_unwind(Box::new(p.message))))
+        .collect()
 }
 
 /// A cell execution that panicked instead of producing a result: the

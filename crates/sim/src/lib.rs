@@ -44,8 +44,8 @@ pub use characterization::{
 };
 pub use cluster::{ArchPool, Cluster};
 pub use engine::{
-    simulate_bml, CellSummary, FailureModel, ReconfigRecord, ScenarioResult, SchedulerKind,
-    SimConfig, Stepping,
+    optimality_gap, simulate_bml, CellSummary, FailureModel, ReconfigRecord, ScenarioResult,
+    SchedulerKind, SimConfig, Stepping,
 };
 pub use exec::{run_cell, run_cells, run_cells_checked, CellConfig, CellJob, CellPanic};
 pub use migration::{plan_migrations, MigrationPlan};

@@ -68,13 +68,6 @@ impl LoadTrace {
         }
     }
 
-    /// Maximum load within `[from, to)` (clamped to the trace).
-    pub fn max_in(&self, from: u64, to: u64) -> f64 {
-        let from = (from as usize).min(self.rates.len());
-        let to = (to as usize).min(self.rates.len());
-        self.rates[from..to].iter().copied().fold(0.0, f64::max)
-    }
-
     /// Number of complete or partial days covered.
     pub fn n_days(&self) -> u32 {
         self.rates.len().div_ceil(SECONDS_PER_DAY as usize) as u32
@@ -197,16 +190,6 @@ mod tests {
         assert_eq!(t.get(99), 0.0);
         assert_eq!(t.max(), 9.0);
         assert!((t.mean() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn max_in_window() {
-        let t = trace();
-        assert_eq!(t.max_in(0, 2), 5.0);
-        assert_eq!(t.max_in(2, 4), 9.0);
-        assert_eq!(t.max_in(4, 100), 2.0);
-        assert_eq!(t.max_in(100, 200), 0.0);
-        assert_eq!(t.max_in(3, 3), 0.0);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   pro-active scheduler;
 //! * [`trace`] (`bml-trace`) — load traces, the World-Cup-98-like
 //!   workload, predictors;
-//! * [`metrics`] (`bml-metrics`) — IPR/LDR, energy accounting, reports;
+//! * [`metrics`] (`bml-metrics`) — energy accounting, reports;
 //! * [`sim`] (`bml-sim`) — application characterization, the
 //!   discrete-event simulator and the four Fig. 5 scenarios;
 //! * [`grid`] (`bml-grid`) — declarative multi-dimensional scenario
@@ -41,7 +41,7 @@ pub use bml_trace as trace;
 pub mod prelude {
     pub use bml_core::prelude::*;
     pub use bml_grid::{GridOutcome, GridRunner, GridSpec};
-    pub use bml_metrics::{EnergyMeter, ExperimentRecord, OverheadStats, Table};
+    pub use bml_metrics::{EnergyMeter, OverheadStats, Table};
     pub use bml_opt::{solve_verified, OptOptions, OptimalSchedule};
     pub use bml_profiler::{paper_machines, profile_park, ProfilerConfig};
     pub use bml_sim::{run_comparison, ApplicationSpec, QosClass, ScenarioResult, SimConfig};

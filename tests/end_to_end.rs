@@ -151,9 +151,9 @@ fn trace_csv_roundtrip_preserves_simulation() {
 
 #[test]
 fn energy_metrics_cross_check() {
-    // The proportionality index of the whole simulated system: BML's
-    // realized energy over the trace is far closer to the load-weighted
-    // floor than the over-provisioned baseline's.
+    // System-level efficiency: BML's realized energy over the trace is
+    // far closer to the load-weighted floor than the over-provisioned
+    // baseline's.
     let trace = test_trace();
     let infra = BmlInfrastructure::build(&bml::core::catalog::table1()).unwrap();
     let c = run_comparison(&trace, &infra, &SimConfig::default());
