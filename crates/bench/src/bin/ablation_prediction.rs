@@ -56,7 +56,7 @@ fn main() {
             },
         })
         .collect();
-    let results = args.pool().install(|| run_cells(&jobs, None));
+    let results = run_cells(&jobs, args.threads);
 
     println!(
         "Prediction-error ablation ({} days, seed {}):\n",

@@ -54,7 +54,7 @@ fn main() {
             },
         })
         .collect();
-    let results = args.pool().install(|| run_cells(&jobs, None));
+    let results = run_cells(&jobs, args.threads);
 
     println!("Scheduler ablation ({} days, seed {}):\n", days, args.seed);
     let mut t = Table::new(&[

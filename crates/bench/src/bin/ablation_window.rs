@@ -47,7 +47,7 @@ fn main() {
             },
         })
         .collect();
-    let results = args.pool().install(|| run_cells(&jobs, None));
+    let results = run_cells(&jobs, args.threads);
 
     println!(
         "Window-length ablation ({} days, seed {}):\n",

@@ -2,7 +2,7 @@
 //!
 //! Enumerates the smoke grid — catalog mixes x schedulers x windows x
 //! prediction noise x split policies x both stepping modes on a
-//! World-Cup-like tournament trace — executes every cell rayon-parallel
+//! World-Cup-like tournament trace — executes every cell in parallel
 //! with deterministic per-cell seeds, and streams the versioned
 //! `BENCH_grid.json` + `BENCH_grid.csv` artifacts as cells complete. For
 //! a fixed seed the artifacts are byte-identical at any `--threads`

@@ -196,7 +196,7 @@ impl<'a> GridRunner<'a> {
     }
 
     /// Cap the worker-thread count from an optional CLI flag (`None` =
-    /// rayon's default).
+    /// available parallelism capped at 16).
     #[must_use]
     pub fn threads_opt(mut self, n: Option<usize>) -> Self {
         self.threads = n;
@@ -476,9 +476,9 @@ pub(crate) fn execute(
     let mut cells: Vec<CellRecord> = Vec::with_capacity(coords.len());
     let mut failed_cells: Vec<FailedCell> = Vec::new();
     let mut emitted = 0usize;
-    // Work-steal accounting is process-global in the vendored pool, so
-    // snapshot around the fan-out and report the delta (host plane: the
-    // numbers move with thread count and machine load by design).
+    // The executor's task/steal counters are process-global, so snapshot
+    // around the fan-out and report the delta (host plane: steals move
+    // with thread count and machine load by design).
     let pool_before = rayon::pool_stats();
     let cells_t0 = Instant::now();
     let mut heartbeat = opts.heartbeat.map(Heartbeat::new);

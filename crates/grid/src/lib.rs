@@ -15,7 +15,7 @@
 //! 7. **stepping** — event-driven replay or the per-second reference —
 //!
 //! and a [`GridRunner`] executes every cell of the cross-product
-//! rayon-parallel over the shared `bml-sim` cell executor:
+//! in parallel over the shared `bml-sim` cell executor:
 //!
 //! ```no_run
 //! # use bml_grid::{GridRunner, GridSpec, StreamingArtifactWriter};

@@ -7,10 +7,10 @@
 //! that unit ([`run_cell`]) plus the one parallel fan-out everything
 //! shares ([`run_cells_checked`], which [`run_cells`] unwraps).
 //!
-//! Determinism contract: [`run_cells`] preserves input order (the rayon
-//! parallel map deposits each result in its input's slot — the vendored
-//! shim schedules workers by range stealing, so *which* worker runs a
-//! cell varies, but *where* its result lands never does), and each cell's
+//! Determinism contract: [`run_cells`] preserves input order
+//! (`rayon::par_map` deposits each result in its index's slot — workers
+//! claim indices from a shared counter, so *which* worker runs a cell
+//! varies, but *where* its result lands never does), and each cell's
 //! randomness is confined to its own [`CellConfig::noise_seed`], so the
 //! result vector is **bit-identical regardless of the worker-thread
 //! count**. `bml-grid` relies on this to emit byte-identical artifacts at
@@ -21,7 +21,6 @@ use bml_core::bml::BmlInfrastructure;
 use bml_core::combination::SplitPolicy;
 use bml_core::scheduler::paper_window_length;
 use bml_trace::{LoadTrace, LookaheadMaxPredictor, NoisyPredictor};
-use rayon::prelude::*;
 
 use crate::characterization::ApplicationSpec;
 use crate::engine::{
@@ -144,11 +143,11 @@ pub fn run_cell(trace: &LoadTrace, bml: &BmlInfrastructure, cell: &CellConfig) -
 
 /// Execute a batch of cells in parallel, returning results in input order.
 ///
-/// `threads` caps the worker count (`None` = rayon's default). The cap
-/// only changes wall-clock time, never results: output order is the input
-/// order and cells share no mutable state. A panicking cell panics the
-/// whole batch: once every cell has run, the first panic in input order
-/// is resumed with its message.
+/// `threads` caps the worker count (`None` = available parallelism,
+/// capped at 16). The cap only changes wall-clock time, never results:
+/// output order is the input order and cells share no mutable state. A
+/// panicking cell panics the whole batch: once every cell has run, the
+/// first panic in input order is resumed with its message.
 pub fn run_cells(jobs: &[CellJob<'_>], threads: Option<usize>) -> Vec<ScenarioResult> {
     run_cells_checked(jobs, threads, None)
         .into_iter()
@@ -192,35 +191,21 @@ pub fn run_cells_checked(
     threads: Option<usize>,
     inject: Option<&(dyn Fn(usize) -> Option<String> + Sync)>,
 ) -> Vec<Result<ScenarioResult, CellPanic>> {
-    let indices: Vec<usize> = (0..jobs.len()).collect();
-    let run = || {
-        indices
-            .par_iter()
-            .map(|&i| {
-                let j = &jobs[i];
-                // `run_cell` only touches the job's own borrows, and a
-                // panicking cell contributes nothing but its message, so
-                // no broken invariant can leak across the boundary.
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    if let Some(msg) = inject.and_then(|f| f(i)) {
-                        panic!("{msg}");
-                    }
-                    run_cell(j.trace, j.bml, &j.cell)
-                }))
-                .map_err(|payload| CellPanic {
-                    message: panic_message(payload.as_ref()),
-                })
-            })
-            .collect()
-    };
-    match threads {
-        Some(n) => rayon::ThreadPoolBuilder::new()
-            .num_threads(n.max(1))
-            .build()
-            .expect("thread pool construction cannot fail")
-            .install(run),
-        None => run(),
-    }
+    rayon::par_map(jobs.len(), threads, |i| {
+        let j = &jobs[i];
+        // `run_cell` only touches the job's own borrows, and a panicking
+        // cell contributes nothing but its message, so no broken
+        // invariant can leak across the boundary.
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            if let Some(msg) = inject.and_then(|f| f(i)) {
+                panic!("{msg}");
+            }
+            run_cell(j.trace, j.bml, &j.cell)
+        }))
+        .map_err(|payload| CellPanic {
+            message: panic_message(payload.as_ref()),
+        })
+    })
 }
 
 #[cfg(test)]

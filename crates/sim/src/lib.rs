@@ -22,7 +22,7 @@
 //! * [`scenarios`] — the four Fig. 5 scenarios (two homogeneous upper
 //!   bounds, BML, the theoretical lower bound);
 //! * [`exec`] — the shared experiment-cell executor: one knob setting =
-//!   one cell, fanned out rayon-parallel with order-preserving,
+//!   one cell, fanned out over `rayon::par_map` with order-preserving,
 //!   thread-count-independent results;
 //! * [`runner`] — the Fig. 5 comparison.
 

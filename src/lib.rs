@@ -15,7 +15,7 @@
 //! * [`sim`] (`bml-sim`) — application characterization, the
 //!   discrete-event simulator and the four Fig. 5 scenarios;
 //! * [`grid`] (`bml-grid`) — declarative multi-dimensional scenario
-//!   grids executed rayon-parallel with deterministic artifacts;
+//!   grids executed in parallel with deterministic artifacts;
 //! * [`opt`] (`bml-opt`) — offline-optimal reconfiguration schedules via
 //!   an exact segment DP, replay-verified against the simulator;
 //! * [`profiler`] (`bml-profiler`) — the Step-1 measurement harness.
